@@ -44,7 +44,7 @@ from .cmfield import (
     oriented_to_json,
     validate_orientation,
 )
-from .cyclotomic import CyclotomicNumber, euler_phi, galois_apply
+from .cyclotomic import CyclotomicNumber, euler_phi
 from .errors import (
     CMHodgeError,
     ConductorMismatchError,

@@ -132,7 +132,10 @@ def _fixed_symplectic_pairs(field, pol):
             basis.append(y)
         if len(basis) == 2 * field.n:
             break
-    assert len(basis) == 2 * field.n  # descent never loses dimension
+    if len(basis) != 2 * field.n:
+        raise TheoremViolationError(
+            f"the fixed vectors span {len(basis)} dimensions over Q(i), not 2n = {2 * field.n}"
+        )
 
     pool = list(basis)
     pairs = []
@@ -145,7 +148,10 @@ def _fixed_symplectic_pairs(field, pol):
                 mate = pool.pop(pos)
                 v = {a: mate[a] / val for a in idx}
                 break
-        assert mate is not None  # the restricted pairing stays nondegenerate
+        if mate is None:
+            raise TheoremViolationError(
+                "the pairing restricted to the fixed vectors is degenerate"
+            )
         pairs.append((u, v))
         pool = [
             {a: z[a] - pairing(z, v) * u[a] + pairing(z, u) * v[a] for a in idx}

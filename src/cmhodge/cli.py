@@ -247,13 +247,6 @@ def build_parser():
     _add_field_args(sub)
     sub.add_argument("--weight", type=int, required=True)
     sub.add_argument("--hodge", required=True, help="comma list, e.g. 1,2,2,1")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count for sweeps (results are order-deterministic; "
-        "the current implementation runs sequentially)",
-    )
     sub.set_defaults(fn=_cmd_orient_enumerate)
 
     sub = commands.add_parser("grading", help="emit the grading vector")

@@ -1,7 +1,8 @@
 """Exact arithmetic in Q(zeta_M) in the power basis 1, z, ..., z^{phi(M)-1}.
 
-Every element is kept reduced modulo the M-th cyclotomic polynomial, so
-equality is plain coefficient comparison.  Galois automorphisms act by
+Every element is kept reduced modulo the M-th cyclotomic polynomial, as
+integer numerators over one shared denominator in lowest terms, so equality
+is plain comparison of ints.  Galois automorphisms act by
 z -> z^a for units a, and complex conjugation is the case a = -1.
 
 Serialization uses decimal-free "p/q" strings so round trips are lossless.
@@ -11,9 +12,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .errors import ConductorMismatchError, UsageError
-from .polynomials import Poly, _format_poly, cyclotomic_polynomial, poly_xgcd
+from .errors import ConductorMismatchError, TheoremViolationError, UsageError
+from .polynomials import (
+    Poly,
+    _format_poly,
+    _integral_form,
+    _reduce,
+    cyclotomic_polynomial,
+    poly_xgcd,
+)
 
 
 def euler_phi(m):
@@ -36,28 +45,35 @@ def euler_phi(m):
 
 
 class _Context:
-    __slots__ = ("conductor", "phi", "powers")
+    __slots__ = ("conductor", "phi", "powers", "terms", "zero")
 
     def __init__(self, conductor):
         self.conductor = conductor
         phi = euler_phi(conductor)
         self.phi = phi
+        self.zero = (0,) * phi
         minpoly = cyclotomic_polynomial(conductor)
-        # x^phi == tail modulo the minimal polynomial (it is monic)
-        tail = [-c for c in minpoly.coeffs[:phi]]
+        # x^phi == tail modulo the minimal polynomial; it is monic with
+        # integer coefficients, so every power of z reduces over the ints
+        tail = [-c for c in minpoly.num[:phi]]
         powers = []
-        cur = [Fraction(0)] * phi
-        cur[0] = Fraction(1)
+        cur = [0] * phi
+        cur[0] = 1
         limit = max(conductor, 2 * phi - 1)
         for _ in range(limit):
             powers.append(tuple(cur))
-            top = cur[phi - 1] if phi > 0 else Fraction(0)
-            nxt = [Fraction(0)] + cur[: phi - 1]
+            top = cur[phi - 1] if phi > 0 else 0
+            nxt = [0] + cur[: phi - 1]
             if top:
                 for k in range(phi):
                     nxt[k] += top * tail[k]
             cur = nxt
         self.powers = tuple(powers)
+        # the nonzero (index, coefficient) pairs of each power: past z^phi
+        # most powers reduce to a single term, since z^M == 1
+        self.terms = tuple(
+            tuple((t, r) for t, r in enumerate(p) if r) for p in self.powers
+        )
 
 
 @lru_cache(maxsize=None)
@@ -78,25 +94,40 @@ def parse_fraction(text):
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_M), M the conductor, in the power basis."""
+    """An element of Q(zeta_M), M the conductor, in the power basis.
 
-    __slots__ = ("conductor", "coeffs")
+    The coefficients are stored as a tuple ``num`` of phi(M) integer
+    numerators over one positive integer denominator ``den``, with no factor
+    common to all of them; zero is all zeros over 1.  Equal elements
+    therefore have equal ``(num, den)``.  ``coeffs`` gives the coefficients
+    as ``Fraction``s.
+    """
+
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coeffs):
         ctx = _context(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != ctx.phi:
+        num, den = _integral_form(coeffs)
+        if len(num) != ctx.phi:
             raise UsageError(
-                f"conductor {conductor} needs {ctx.phi} coefficients, got {len(coeffs)}"
+                f"conductor {conductor} needs {ctx.phi} coefficients, got {len(num)}"
             )
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.num, self.den = _reduce(num, den)
+
+    @classmethod
+    def _make(cls, conductor, num, den=1):
+        """Element with numerators ``num`` (length phi) over ``den`` > 0, reduced here."""
+        out = object.__new__(cls)
+        out.conductor = conductor
+        out.num, out.den = _reduce(num, den)
+        return out
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, conductor):
-        return cls(conductor, (0,) * _context(conductor).phi)
+        return cls._make(conductor, _context(conductor).zero)
 
     @classmethod
     def one(cls, conductor):
@@ -104,16 +135,16 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, conductor, value):
-        ctx = _context(conductor)
-        coeffs = [Fraction(0)] * ctx.phi
-        coeffs[0] = Fraction(value)
-        return cls(conductor, coeffs)
+        q = Fraction(value)
+        num = list(_context(conductor).zero)
+        num[0] = q.numerator
+        return cls._make(conductor, num, q.denominator)
 
     @classmethod
     def root_of_unity(cls, conductor, k):
         """zeta_M^k, reduced into the power basis."""
         ctx = _context(conductor)
-        return cls(conductor, ctx.powers[k % conductor])
+        return cls._make(conductor, ctx.powers[k % conductor])
 
     @classmethod
     def i_unit(cls, conductor):
@@ -121,6 +152,11 @@ class CyclotomicNumber:
         if conductor % 4 != 0:
             raise UsageError(f"no fourth root of unity at conductor {conductor}")
         return cls.root_of_unity(conductor, conductor // 4)
+
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- ring structure -------------------------------------------------
 
@@ -139,38 +175,51 @@ class CyclotomicNumber:
         return None
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def is_rational_value(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational_value():
             raise UsageError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self.num, self.den))
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, [-c for c in self.coeffs])
+        return CyclotomicNumber._make(self.conductor, [-c for c in self.num], self.den)
+
+    def _combine(self, other, sign):
+        """self + sign * other on the numerators over a common denominator."""
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da == db:
+            if sign > 0:
+                return CyclotomicNumber._make(self.conductor, [x + y for x, y in zip(a, b)], da)
+            return CyclotomicNumber._make(self.conductor, [x - y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        if sign < 0:
+            fb = -fb
+        return CyclotomicNumber._make(
+            self.conductor, [x * fa + y * fb for x, y in zip(a, b)], da * fa
+        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.conductor, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
@@ -178,9 +227,7 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.conductor, [a - b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -188,55 +235,62 @@ class CyclotomicNumber:
             return NotImplemented
         return o - self
 
-    def _scale(self, q):
-        if q == 0:
+    def _scale(self, p, q=1):
+        """self * p / q for ints p and q > 0."""
+        if p == 0:
             return CyclotomicNumber.zero(self.conductor)
-        return CyclotomicNumber(self.conductor, [c * q for c in self.coeffs])
+        if p == 1 and q == 1:
+            return self
+        return CyclotomicNumber._make(self.conductor, [c * p for c in self.num], self.den * q)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(Fraction(other))
+        if isinstance(other, int):
+            return self._scale(other)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         self._check(other)
         # rational factors are the common case; keep them linear time
         if self.is_rational_value():
-            return other._scale(self.coeffs[0])
+            return other._scale(self.num[0], self.den)
         if other.is_rational_value():
-            return self._scale(other.coeffs[0])
+            return self._scale(other.num[0], other.den)
         ctx = _context(self.conductor)
         phi = ctx.phi
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                conv[i + j] += a * b
-        out = list(conv[:phi])
+        conv = [0] * (2 * phi - 1)
+        b = other.num
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        conv[j] += x * y
+        out = conv[:phi]
+        terms = ctx.terms
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
-            if c == 0:
-                continue
-            red = ctx.powers[k]
-            for t in range(phi):
-                if red[t]:
-                    out[t] += c * red[t]
-        return CyclotomicNumber(self.conductor, out)
+            if c:
+                for t, r in terms[k]:
+                    out[t] += c * r
+        return CyclotomicNumber._make(self.conductor, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.conductor})")
-        f = Poly(self.coeffs)
+        # (num / den)^-1 = den * u, where u * num == 1 modulo the minimal polynomial
+        f = Poly._make(self.num)
         d, u, _ = poly_xgcd(f, cyclotomic_polynomial(self.conductor))
-        assert d == Poly.one()
-        ctx = _context(self.conductor)
-        coeffs = list(u.coeffs) + [Fraction(0)] * max(0, ctx.phi - len(u.coeffs))
-        out = CyclotomicNumber(self.conductor, coeffs[: ctx.phi])
-        return out
+        if d != Poly.one():
+            raise TheoremViolationError(
+                f"an element of Q(zeta_{self.conductor}) shares a factor with its "
+                "irreducible minimal polynomial"
+            )
+        num = list(_context(self.conductor).zero)
+        for k, c in enumerate(u.num):
+            num[k] = c * self.den
+        return CyclotomicNumber._make(self.conductor, num, u.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -262,20 +316,17 @@ class CyclotomicNumber:
         """Apply the automorphism z -> z^a; a must be a unit mod the conductor."""
         M = self.conductor
         a %= M
-        if _gcd(a, M) != 1:
+        if gcd(a, M) != 1:
             raise UsageError(f"{a} is not a unit modulo {M}")
         if self.is_rational_value():
             return self
         ctx = _context(M)
-        out = [Fraction(0)] * ctx.phi
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            red = ctx.powers[(a * k) % M]
-            for t in range(ctx.phi):
-                if red[t]:
-                    out[t] += c * red[t]
-        return CyclotomicNumber(M, out)
+        out = [0] * ctx.phi
+        for k, c in enumerate(self.num):
+            if c:
+                for t, r in ctx.terms[(a * k) % M]:
+                    out[t] += c * r
+        return CyclotomicNumber._make(M, out, self.den)
 
     def conjugate(self):
         return self.galois(self.conductor - 1)
@@ -300,13 +351,3 @@ class CyclotomicNumber:
     def __repr__(self):
         return f"CyclotomicNumber({self.conductor}, {_format_poly(self.coeffs, 'z')!r})"
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def galois_apply(a, x):
-    """Module-level spelling of CyclotomicNumber.galois."""
-    return x.galois(a)

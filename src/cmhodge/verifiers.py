@@ -146,12 +146,13 @@ class RankReport:
 def _transitive_sign_free_element(field):
     """First group element of order n that cycles the pairs without sign flips.
 
-    Only searched when n is prime; returns (perm, cycle of pair indices) or
-    None.  Sign mixing (a positive index mapping to a negative one) defeats
-    the plain circulant picture, so such elements are skipped.
+    Only searched when n is an odd prime, the lengths a circulant spec
+    accepts; returns (perm, cycle of pair indices) or None.  Sign mixing (a
+    positive index mapping to a negative one) defeats the plain circulant
+    picture, so such elements are skipped.
     """
     n = field.n
-    if not _is_prime(n):
+    if n % 2 == 0 or not _is_prime(n):
         return None
     for g in field.galois.enumerate_group():
         images = {}
@@ -179,7 +180,7 @@ def _transitive_sign_free_element(field):
 def nondegeneracy_verdict(field):
     """Rank report for an oriented field: orbit rank vs the Cartan bound.
 
-    When n is prime and some group element cycles the conjugate pairs
+    When n is an odd prime and some group element cycles the conjugate pairs
     without sign mixing, the circulant route is also reported and its
     dichotomy is enforced; otherwise the orbit rank alone decides.
     """

@@ -72,6 +72,29 @@ def test_nondeg_balanced_orientation(capsys):
     assert doc["result"]["circulant_rank"] is None
 
 
+def test_nondeg_with_two_pairs_skips_the_circulant_route(capsys):
+    # n = 2 is prime but even; a 2 x 2 circulant has no odd-prime dichotomy
+    orientation = json.dumps(
+        {"assignment": {"1": [3, 0], "11": [0, 3], "5": [2, 1], "7": [1, 2]}, "weight": 3}
+    )
+    code, doc = run_cli(
+        capsys, "nondeg", "--conductor", "12",
+        "--weight", "3", "--orientation", orientation,
+    )
+    assert code == 0
+    assert doc["result"]["orbit_rank"] == 2
+    assert doc["result"]["circulant_rank"] is None
+
+
+def test_orient_enumerate_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as err:
+        main([
+            "orient", "enumerate", "--conductor", "7",
+            "--weight", "3", "--hodge", "1,2,2,1", "--jobs", "2",
+        ])
+    assert err.value.code == 2
+
+
 def test_even_weight_is_a_domain_error(capsys):
     flat = json.dumps({"assignment": {str(k): [1, 1] for k in range(1, 7)}})
     code, doc = run_cli(

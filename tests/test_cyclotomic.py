@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cmhodge import cyclotomic
 from cmhodge.cyclotomic import CyclotomicNumber, euler_phi, format_fraction, parse_fraction
-from cmhodge.errors import ConductorMismatchError, UsageError
-from cmhodge.polynomials import cyclotomic_polynomial
+from cmhodge.errors import ConductorMismatchError, TheoremViolationError, UsageError
+from cmhodge.polynomials import Poly, cyclotomic_polynomial, poly_gcd, poly_xgcd
 
 CONDUCTORS = (4, 7, 12, 28)
 
@@ -167,3 +169,216 @@ def test_from_json_validates():
         CyclotomicNumber.from_json({"coeffs": ["1"]})
     with pytest.raises(UsageError):
         CyclotomicNumber.from_json({"conductor": 0, "coeffs": []})
+
+
+# -- cross-check of the integer kernel against schoolbook Fraction arithmetic --
+#
+# The reference works on plain lists of Fractions (lowest degree first) and
+# reduces by long division modulo a cyclotomic polynomial it builds itself,
+# so it shares no code with the numerator / shared-denominator kernel.
+
+CROSS_CONDUCTORS = (7, 9, 11, 16, 13, 35, 84)
+
+
+def ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem = [Fraction(c) for c in ref_trim(a)]
+    b = [Fraction(c) for c in ref_trim(b)]
+    if len(rem) < len(b):
+        return [], rem
+    quot = [Fraction(0)] * (len(rem) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_cyclotomic(m):
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = ref_divmod(num, ref_cyclotomic(d))
+            assert not rem
+    return num
+
+
+def ref_reduce(M, coeffs):
+    phi = euler_phi(M)
+    _, rem = ref_divmod(coeffs, ref_cyclotomic(M))
+    return tuple(rem) + (Fraction(0),) * (phi - len(rem))
+
+
+def ref_galois(M, coeffs, a):
+    spread = [Fraction(0)] * M
+    for k, c in enumerate(coeffs):
+        spread[(a * k) % M] += c
+    return ref_reduce(M, spread)
+
+
+def mixed_coeffs(rng, n, sparse=False):
+    """Rationals with unrelated denominators, some of the time mostly zero."""
+    out = []
+    for _ in range(n):
+        if sparse and rng.random() < 0.7:
+            out.append(Fraction(0))
+        else:
+            out.append(Fraction(rng.randrange(-30, 31), rng.randrange(1, 13)))
+    return out
+
+
+def assert_normal_form(x):
+    phi = euler_phi(x.conductor)
+    assert len(x.num) == phi and all(type(c) is int for c in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(*x.num, x.den) == 1
+    if not any(x.num):
+        assert (x.num, x.den) == ((0,) * phi, 1)
+
+
+def assert_same_element(x, coeffs):
+    """x carries exactly the Fraction coefficients coeffs, in normal form."""
+    assert_normal_form(x)
+    assert x.coeffs == tuple(coeffs)
+    y = CyclotomicNumber(x.conductor, coeffs)
+    assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("M", CROSS_CONDUCTORS)
+def test_products_match_the_fraction_reference(M):
+    rng = random.Random(f"cross-mul:{M}")
+    phi = euler_phi(M)
+    for trial in range(12):
+        a = mixed_coeffs(rng, phi, sparse=trial % 3 == 0)
+        b = mixed_coeffs(rng, phi, sparse=trial % 4 == 1)
+        x, y = CyclotomicNumber(M, a), CyclotomicNumber(M, b)
+        assert_same_element(x, a)
+        assert_same_element(x * y, ref_reduce(M, ref_mul(a, b)))
+        assert_same_element(x + y, [p + q for p, q in zip(a, b)])
+        assert_same_element(x - y, [p - q for p, q in zip(a, b)])
+        q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+        assert_same_element(x * q, [c * q for c in a])
+    zero = CyclotomicNumber(M, [Fraction(0, 7)] * phi)
+    assert_same_element(zero, [Fraction(0)] * phi)
+    assert_same_element(x - x, [Fraction(0)] * phi)
+    assert_same_element(x * 0, [Fraction(0)] * phi)
+
+
+@pytest.mark.parametrize("M", CROSS_CONDUCTORS)
+def test_galois_matches_the_fraction_reference(M):
+    rng = random.Random(f"cross-galois:{M}")
+    phi = euler_phi(M)
+    units = [a for a in range(1, M) if math.gcd(a, M) == 1]
+    for trial in range(8):
+        a = mixed_coeffs(rng, phi, sparse=trial % 2 == 0)
+        k = rng.choice(units)
+        assert_same_element(CyclotomicNumber(M, a).galois(k), ref_galois(M, a, k))
+
+
+@pytest.mark.parametrize("M", CROSS_CONDUCTORS)
+def test_inverse_is_in_normal_form(M):
+    rng = random.Random(f"cross-inverse:{M}")
+    phi = euler_phi(M)
+    for _ in range(3):
+        x = CyclotomicNumber(M, mixed_coeffs(rng, phi))
+        inv = x.inverse()
+        assert_normal_form(inv)
+        assert_same_element(x * inv, [Fraction(1)] + [Fraction(0)] * (phi - 1))
+
+
+def test_minimal_polynomial_matches_the_fraction_reference():
+    for M in CROSS_CONDUCTORS:
+        assert cyclotomic_polynomial(M).coeffs == tuple(ref_cyclotomic(M))
+
+
+def test_inverse_raises_a_typed_error_when_the_gcd_is_not_one(monkeypatch):
+    monkeypatch.setattr(
+        cyclotomic, "poly_xgcd", lambda f, g: (Poly((1, 1)), Poly.one(), Poly.zero())
+    )
+    with pytest.raises(TheoremViolationError):
+        CyclotomicNumber.root_of_unity(7, 1).inverse()
+
+
+def ref_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return ref_trim([p - q for p, q in zip(a, b)])
+
+
+def ref_xgcd(f, g):
+    a, b = ref_trim(f), ref_trim(g)
+    ua, va, ub, vb = [Fraction(1)], [], [], [Fraction(1)]
+    while b:
+        q, r = ref_divmod(a, b)
+        a, b = b, r
+        ua, ub = ub, ref_sub(ua, ref_mul(q, ub))
+        va, vb = vb, ref_sub(va, ref_mul(q, vb))
+    if not a:
+        return a, ua, va
+    s = 1 / a[-1]
+    return [c * s for c in a], [c * s for c in ua], [c * s for c in va]
+
+
+def assert_poly_normal_form(p, coeffs):
+    assert all(type(c) is int for c in p.num) and type(p.den) is int and p.den > 0
+    assert math.gcd(*p.num, p.den) == 1
+    assert not p.num or p.num[-1] != 0
+    if not p.num:
+        assert p.den == 1
+    assert p.coeffs == tuple(coeffs)
+    q = Poly(coeffs)
+    assert p == q and hash(p) == hash(q)
+
+
+def random_poly_coeffs(rng, degree, rational):
+    out = []
+    for _ in range(degree + 1):
+        den = rng.randrange(1, 10) if rational else 1
+        out.append(Fraction(rng.randrange(-12, 13), den))
+    if out and out[-1] == 0:
+        out[-1] = Fraction(rng.choice((-3, -2, 2, 5)), rng.randrange(1, 4) if rational else 1)
+    return out
+
+
+def test_poly_division_matches_the_fraction_reference():
+    rng = random.Random("cross-poly-divmod")
+    for trial in range(120):
+        rational = trial % 2 == 1
+        a = random_poly_coeffs(rng, rng.randrange(-1, 9), rational)
+        b = random_poly_coeffs(rng, rng.randrange(0, 5), trial % 3 != 0)
+        q, r = Poly(a).divmod(Poly(b))
+        rq, rr = ref_divmod(a, b)
+        assert_poly_normal_form(q, rq)
+        assert_poly_normal_form(r, rr)
+
+
+def test_poly_gcd_and_xgcd_match_the_fraction_reference():
+    rng = random.Random("cross-poly-gcd")
+    for trial in range(60):
+        rational = trial % 2 == 1
+        common = random_poly_coeffs(rng, rng.randrange(0, 3), rational)
+        f = ref_mul(common, random_poly_coeffs(rng, rng.randrange(0, 5), rational))
+        g = ref_mul(common, random_poly_coeffs(rng, rng.randrange(0, 5), not rational))
+        d, u, v = ref_xgcd(f, g)
+        assert_poly_normal_form(poly_gcd(Poly(f), Poly(g)), d)
+        got = poly_xgcd(Poly(f), Poly(g))
+        for p, coeffs in zip(got, (d, u, v)):
+            assert_poly_normal_form(p, coeffs)
