@@ -23,6 +23,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     _gauge_units,
@@ -67,33 +68,33 @@ def _first_oriented(m, weight, hodge):
 # -- constructive rational nilpotents -----------------------------------
 
 
-def _fixed_symplectic_pairs(field, pol):
-    """Darboux basis of the fixed vectors of the twisted permutation action.
+def _q_rows(idx, i_unit, x):
+    """x and i*x as int rows over Q: all coordinates over one common denominator per row.
+
+    Their Q-span is the Q(i)-line through x, so the rank of the rows of
+    several vectors is twice their rank over Q(i).
+    """
+    rows = []
+    for coords in ([x[a] for a in idx], [i_unit * x[a] for a in idx]):
+        den = lcm(*(c.den for c in coords))
+        rows.append([v * (den // c.den) for c in coords for v in c.num])
+    return rows
+
+
+def _fixed_vectors(field):
+    """A basis over Q(i) of the fixed vectors of the twisted permutation action.
 
     Group elements move a vector by permuting its coordinates and applying
-    the coefficient automorphism; in the equivariant gauge that action
-    preserves the pairing on the nose.  Averaging coordinate vectors over
-    the group and extracting a maximal independent set (independence over
-    the rationals extended by i, hence the doubled row trick) yields a basis
-    of the fixed space, and symplectic Gram-Schmidt turns it into hyperbolic
-    pairs (u_a, v_a) with pairing(u_a, v_b) = delta_ab.  Cached per
-    polarization; everything is exact.
+    the coefficient automorphism.  Averaging coordinate vectors over the
+    group and extracting a maximal independent set (independence over the
+    rationals extended by i, hence the doubled row trick) yields 2n vectors.
     """
-    cached = getattr(pol, "_darboux_cache", None)
-    if cached is not None:
-        return cached
     galois = field.galois
     M = field.working_conductor
     idx = field.signed_indices()
     zero = CyclotomicNumber.zero(M)
-    one = CyclotomicNumber.one(M)
     i_unit = CyclotomicNumber.i_unit(M)
     zeta = CyclotomicNumber.root_of_unity(M, M // galois.conductor)
-    d, dinv = _gauge_units(pol)
-    pairing_values = {}
-    for k in range(1, field.n + 1):
-        pairing_values[k] = dinv[k] * i_unit * pol.epsilons[k]
-        pairing_values[-k] = -pairing_values[k]
     group = galois.enumerate_group()
 
     def act(perm, x):
@@ -108,36 +109,60 @@ def _fixed_symplectic_pairs(field, pol):
             out = {a: out[a] + moved[a] for a in idx}
         return out
 
-    def pairing(x, y):
-        total = zero
-        for k in idx:
-            total = total + pairing_values[k] * x[k] * y[-k]
-        return total
-
-    def q_rows(vectors):
-        rows = []
-        for x in vectors:
-            for mult in (one, i_unit):
-                rows.append([f for a in idx for f in (mult * x[a]).coeffs])
-        return rows
-
     basis = []
+    rows = []
     for k, a in itertools.product(idx, range(galois.conductor)):
         seed = {b: zero for b in idx}
         seed[k] = zeta**a
         y = average(seed)
         if all(not y[b] for b in idx):
             continue
-        if rank_rational(q_rows(basis + [y])) > rank_rational(q_rows(basis)):
+        # the accepted vectors are independent over Q(i), so their rows have
+        # rank 2 * len(basis) by construction; y is new exactly when its two
+        # rows raise that rank
+        candidate = rows + _q_rows(idx, i_unit, y)
+        if rank_rational(candidate) > 2 * len(basis):
             basis.append(y)
+            rows = candidate
         if len(basis) == 2 * field.n:
             break
     if len(basis) != 2 * field.n:
         raise TheoremViolationError(
             f"the fixed vectors span {len(basis)} dimensions over Q(i), not 2n = {2 * field.n}"
         )
+    return basis
 
-    pool = list(basis)
+
+def _fixed_symplectic_pairs(field, pol):
+    """Darboux basis of the fixed vectors of the twisted permutation action.
+
+    In the equivariant gauge the group action preserves the pairing on the
+    nose, so symplectic Gram-Schmidt turns the basis of ``_fixed_vectors``
+    into hyperbolic pairs (u_a, v_a) with pairing(u_a, v_b) = delta_ab and
+    pairing(u_a, u_b) = pairing(v_a, v_b) = 0.  Returns the pairs and the
+    pairing values on the coordinate vectors.  Cached per polarization;
+    everything is exact.
+    """
+    cached = getattr(pol, "_darboux_cache", None)
+    if cached is not None:
+        return cached
+    M = field.working_conductor
+    idx = field.signed_indices()
+    zero = CyclotomicNumber.zero(M)
+    i_unit = CyclotomicNumber.i_unit(M)
+    _, dinv = _gauge_units(pol)
+    pairing_values = {}
+    for k in range(1, field.n + 1):
+        pairing_values[k] = dinv[k] * i_unit * pol.epsilons[k]
+        pairing_values[-k] = -pairing_values[k]
+
+    def pairing(x, y):
+        total = zero
+        for k in idx:
+            total = total + pairing_values[k] * x[k] * y[-k]
+        return total
+
+    pool = _fixed_vectors(field)
     pairs = []
     while pool:
         u = pool.pop(0)
@@ -153,10 +178,11 @@ def _fixed_symplectic_pairs(field, pol):
                 "the pairing restricted to the fixed vectors is degenerate"
             )
         pairs.append((u, v))
-        pool = [
-            {a: z[a] - pairing(z, v) * u[a] + pairing(z, u) * v[a] for a in idx}
-            for z in pool
-        ]
+        reduced = []
+        for z in pool:
+            zv, zu = pairing(z, v), pairing(z, u)
+            reduced.append({a: z[a] - zv * u[a] + zu * v[a] for a in idx})
+        pool = reduced
     cached = (tuple(pairs), pairing_values)
     pol._darboux_cache = cached
     return cached

@@ -325,10 +325,16 @@ def element_from_json(obj):
 
     if not isinstance(obj, dict) or "field" not in obj or "terms" not in obj:
         raise UsageError("element JSON needs 'field' and 'terms'")
+    if not isinstance(obj["terms"], list):
+        raise UsageError("element JSON 'terms' must be a list", reason="bad-element")
     field = oriented_from_json(obj["field"])
     pol = default_polarization(field)
     coeffs = {}
     for term in obj["terms"]:
+        if not isinstance(term, dict) or not {"i", "j", "coeff"} <= term.keys():
+            raise UsageError(
+                f"element term {term!r} needs 'i', 'j' and 'coeff'", reason="bad-element"
+            )
         c = CyclotomicNumber.from_json(term["coeff"])
         coeffs[(term["i"], term["j"])] = c
     return element_from_coeffs(field, pol, coeffs)

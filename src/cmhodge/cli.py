@@ -37,13 +37,19 @@ from .verifiers import escape_verdict, nondegeneracy_verdict, rigidity_verdict
 
 
 def _read_json_file(path):
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
         raise UsageError(f"file not found: {path}", reason="missing-file")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path} is not valid JSON: {exc}", reason="bad-json")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}", reason="unreadable-file")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}", reason="bad-json")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}", reason="bad-json")
 
 
 def _parse_inline_or_file(text):
@@ -67,6 +73,8 @@ def _load_galois(args):
 def _load_oriented(args):
     galois = _load_galois(args)
     obj = _parse_inline_or_file(args.orientation)
+    if not isinstance(obj, dict):
+        raise UsageError("the orientation must be a JSON object", reason="bad-orientation")
     if "weight" not in obj:
         if args.weight is None:
             raise UsageError("give --weight or include 'weight' in the orientation")

@@ -267,6 +267,11 @@ class Orientation:
         if "weight" not in obj:
             raise UsageError("orientation JSON needs a 'weight'")
         raw = obj["assignment"]
+        if not isinstance(raw, dict):
+            raise UsageError(
+                "orientation 'assignment' must map labels to [p, q] pairs",
+                reason="bad-orientation",
+            )
         key_map = {}
         if labels is not None:
             key_map = {str(lab): lab for lab in labels}
@@ -280,6 +285,11 @@ class Orientation:
                     lab = key
             if not isinstance(pq, (list, tuple)) or len(pq) != 2:
                 raise UsageError(f"assignment for {key!r} must be a [p, q] pair")
+            if not all(type(x) is int for x in pq):
+                raise UsageError(
+                    f"assignment for {key!r} must hold integers, got {list(pq)!r}",
+                    reason="bad-orientation",
+                )
             assignment[lab] = (pq[0], pq[1])
         return cls(obj["weight"], assignment)
 

@@ -346,6 +346,8 @@ class CyclotomicNumber:
         conductor = obj["conductor"]
         if not isinstance(conductor, int) or conductor < 1:
             raise UsageError(f"bad conductor {conductor!r}")
+        if not isinstance(obj["coeffs"], list):
+            raise UsageError("cyclotomic JSON 'coeffs' must be a list of \"p/q\" strings")
         return cls(conductor, [parse_fraction(c) for c in obj["coeffs"]])
 
     def __repr__(self):

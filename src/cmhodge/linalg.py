@@ -12,14 +12,19 @@ from math import lcm
 
 
 def rank_rational(rows):
-    """Exact rank of a matrix given as a list of rows of ints or Fractions."""
+    """Exact rank of a matrix given as a list of rows of ints or Fractions.
+
+    A row of ints goes to the elimination as it is; a row holding Fractions
+    is first scaled by the lcm of its denominators, which keeps the rank.
+    """
     cleared = []
     for row in rows:
+        if all(isinstance(x, int) for x in row):
+            cleared.append(row)
+            continue
         row = [Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        cleared.append([int(x * den) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (den // x.denominator) for x in row])
     return _rank_integer(cleared)
 
 

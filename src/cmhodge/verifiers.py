@@ -100,14 +100,17 @@ def ribet_dichotomy(spec):
     )
 
 
-def orbit_rank(field):
-    """Rank over Q of the Galois orbit of the grading vector, in pair coordinates."""
-    base = grading_vector(field)
-    rows = [
+def _orbit_rows(field, base):
+    """The Galois orbit of the grading vector base, one pair-coordinate row per group element."""
+    return [
         galois_act_grading(field, g, base).pair_tuple()
         for g in field.galois.enumerate_group()
     ]
-    return rank_rational(rows)
+
+
+def orbit_rank(field):
+    """Rank over Q of the Galois orbit of the grading vector, in pair coordinates."""
+    return rank_rational(_orbit_rows(field, grading_vector(field)))
 
 
 VERDICT_NONDEGENERATE = "nondegenerate"
@@ -185,10 +188,7 @@ def nondegeneracy_verdict(field):
     dichotomy is enforced; otherwise the orbit rank alone decides.
     """
     base = grading_vector(field)
-    rows = [
-        galois_act_grading(field, g, base).pair_tuple()
-        for g in field.galois.enumerate_group()
-    ]
+    rows = _orbit_rows(field, base)
     rank = rank_rational(rows)
     n = field.n
     circ_rank = None

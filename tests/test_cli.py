@@ -114,6 +114,51 @@ def test_bad_inline_json(capsys):
     assert doc["error"]["reason"] == "bad-json"
 
 
+@pytest.mark.parametrize(
+    "orientation,reason",
+    [
+        ('{"assignment": {"1": ["a", 0]}}', "bad-orientation"),
+        ('{"assignment": {"1": [true, 2]}}', "bad-orientation"),
+        ('{"assignment": [1, 2]}', "bad-orientation"),
+    ],
+)
+def test_malformed_orientation_is_usage_error(capsys, orientation, reason):
+    code, doc = run_cli(
+        capsys, "nondeg", "--conductor", "7",
+        "--weight", "3", "--orientation", orientation,
+    )
+    assert code == 2
+    assert doc["error"]["reason"] == reason
+
+
+def test_orientation_file_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    code, doc = run_cli(
+        capsys, "nondeg", "--conductor", "7",
+        "--weight", "3", "--orientation", str(path),
+    )
+    assert code == 2
+    assert doc["error"]["reason"] == "bad-orientation"
+
+
+def test_orientation_path_that_is_a_directory(capsys, tmp_path):
+    code, doc = run_cli(
+        capsys, "nondeg", "--conductor", "7",
+        "--weight", "3", "--orientation", str(tmp_path),
+    )
+    assert code == 2
+    assert doc["error"]["reason"] == "unreadable-file"
+
+
+def test_element_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, doc = run_cli(capsys, "partition", "--element", str(path))
+    assert code == 2
+    assert doc["error"]["reason"] == "bad-json"
+
+
 def test_missing_element_file(capsys):
     code, doc = run_cli(capsys, "partition", "--element", "/nonexistent/v.json")
     assert code == 2
@@ -154,6 +199,27 @@ def test_partition_of_witness(capsys, witness_file):
     assert doc["result"]["rational"] is True
     assert doc["result"]["partition"]["blocks"] == [[1, 2, 3, -1, -2, -3]]
     assert doc["result"]["block_verdict"]["is_block_system"] is True
+
+
+@pytest.mark.parametrize("command", ["partition", "closure"])
+@pytest.mark.parametrize(
+    "defect,reason",
+    [("no-coeff", "bad-element"), ("terms-not-a-list", "bad-element"), ("coeffs-not-a-list", "usage-error")],
+)
+def test_malformed_element_is_usage_error(capsys, tmp_path, witness_file, command, defect, reason):
+    with open(witness_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if defect == "no-coeff":
+        doc["terms"] = [{k: v for k, v in t.items() if k != "coeff"} for t in doc["terms"]]
+    elif defect == "terms-not-a-list":
+        doc["terms"] = 5
+    else:
+        doc["terms"][0]["coeff"]["coeffs"] = 5
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, command, "--element", str(path))
+    assert code == 2
+    assert out["error"]["reason"] == reason
 
 
 def test_closure_of_witness(capsys, witness_file):

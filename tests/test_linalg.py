@@ -86,3 +86,34 @@ def test_span_basis_with_cyclotomic_coefficients():
     assert not span.insert({0: z * z})
     assert span.insert({0: z, 1: CyclotomicNumber.one(M)})
     assert span.dimension == 2
+
+
+def test_rank_agrees_on_int_fraction_and_mixed_rows():
+    rng = random.Random("rank-int-rows")
+    for _ in range(60):
+        r = rng.randrange(0, 5)
+        left = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(6)]
+        right = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(r)]
+        ints = [
+            [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(5)]
+            for i in range(6)
+        ]
+        expected = rank_rational(ints)
+        assert expected <= r
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        assert rank_rational(fracs) == expected
+        # scaling a row by a nonzero rational keeps the rank; mix both kinds
+        mixed = [
+            row if i % 2 else [Fraction(x, i + 2) for x in row]
+            for i, row in enumerate(ints)
+        ]
+        assert rank_rational(mixed) == expected
+        within = [[x if j % 2 else Fraction(x) for j, x in enumerate(row)] for row in ints]
+        assert rank_rational(within) == expected
+
+
+def test_rank_leaves_int_rows_untouched():
+    rows = [[2, 4], [1, 2], [0, 3]]
+    copy = [list(r) for r in rows]
+    assert rank_rational(rows) == 2
+    assert rows == copy

@@ -101,3 +101,89 @@ def test_cyclotomic_rejects_bad_index():
         cyclotomic_polynomial(0)
     with pytest.raises(UsageError):
         cyclotomic_polynomial(-3)
+
+
+def _fraction_gcd(f, g):
+    """Reference: plain Euclid on Fraction coefficient lists, made monic at the end."""
+
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            c = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] -= c * bj
+            a = trim(a)
+        return a
+
+    a = trim(Fraction(c) for c in f)
+    b = trim(Fraction(c) for c in g)
+    while b:
+        a, b = b, rem(a, b)
+    if not a:
+        return Poly.zero()
+    return Poly([c / a[-1] for c in a])
+
+
+def _random_coeffs(rng, rational):
+    size = rng.randrange(0, 8)
+    if rational:
+        return [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(size)]
+    return [rng.randrange(-9, 10) for _ in range(size)]
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_gcd_agrees_with_fraction_euclid(rational):
+    rng = random.Random(f"poly-gcd-reference:{rational}")
+    for _ in range(300):
+        common = _random_coeffs(rng, rational)[:3]
+        f = _random_coeffs(rng, rational)
+        g = _random_coeffs(rng, rational)
+        if rng.random() < 0.5 and common:
+            # force a nontrivial common factor
+            f = (Poly(f) * Poly(common)).coeffs
+            g = (Poly(g) * Poly(common)).coeffs
+        expected = _fraction_gcd(f, g)
+        assert poly_gcd(Poly(f), Poly(g)) == expected
+        assert poly_gcd(Poly(g), Poly(f)) == expected
+
+
+@pytest.mark.parametrize(
+    "f,g",
+    [
+        ((), ()),
+        ((3, 6, -9), ()),
+        ((), (0, Fraction(-2, 3))),
+        ((7,), (1, 2, 3)),
+        ((Fraction(5, 2),), ()),
+        ((-4, 0, 6), (2, -3)),
+        ((6, 0, -6), (-10, 10)),
+        ((Fraction(1, 3), Fraction(2, 3)), (Fraction(-1, 6), Fraction(-1, 3))),
+    ],
+)
+def test_gcd_edge_cases_agree_with_fraction_euclid(f, g):
+    assert poly_gcd(Poly(f), Poly(g)) == _fraction_gcd(f, g)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("value", [-7, -1, 1, 3])
+def test_gcd_of_constant_circulant_symbol(p, value):
+    # a constant symbol c(1 + x + ... + x^{p-1}) shares all of x^p - 1 but x - 1
+    f = Poly((value,) * p)
+    g = Poly.x_power(p) - Poly.one()
+    assert poly_gcd(f, g) == _fraction_gcd(f.coeffs, g.coeffs) == Poly((1,) * p)
+
+
+def test_gcd_of_random_circulant_symbols():
+    rng = random.Random("poly-gcd-circulant")
+    for p in (3, 5, 7, 11, 13):
+        g = Poly.x_power(p) - Poly.one()
+        for _ in range(40):
+            f = Poly([2 * rng.randrange(-5, 5) + 1 for _ in range(p)])
+            assert poly_gcd(f, g) == _fraction_gcd(f.coeffs, g.coeffs)
