@@ -41,7 +41,7 @@ from .algebra import (
 )
 from .cmfield import build_cyclotomic_cm, enumerate_orientations, validate_orientation
 from .cyclotomic import CyclotomicNumber
-from .errors import TheoremViolationError
+from .errors import DomainError, TheoremViolationError
 from .graphs import is_block_system, support_graph, trivial_partition_check
 from .linalg import rank_rational
 from .verifiers import (
@@ -141,8 +141,15 @@ def _fixed_symplectic_pairs(field, pol):
     into hyperbolic pairs (u_a, v_a) with pairing(u_a, v_b) = delta_ab and
     pairing(u_a, u_b) = pairing(v_a, v_b) = 0.  Returns the pairs and the
     pairing values on the coordinate vectors.  Cached per polarization;
-    everything is exact.
+    everything is exact.  The equivariant gauge exists for the cyclotomic
+    flavor only, so an abstract field is refused before any work.
     """
+    if field.galois.flavor != "cyclotomic":
+        raise DomainError(
+            "the constructive witness needs a cyclotomic field; "
+            "give the nilpotent of an abstract field with --element",
+            reason="witness-needs-cyclotomic",
+        )
     cached = getattr(pol, "_darboux_cache", None)
     if cached is not None:
         return cached

@@ -494,19 +494,47 @@ def bracket(u, v):
     return element_from_entries(u.field, u.pol, uv)
 
 
+def _mat_vec(cols, vec):
+    """N applied to a sparse vector, with N given column by column."""
+    out = {}
+    for b, y in vec.items():
+        for a, x in cols.get(b, ()):
+            cur = out.get(a)
+            prod = x * y
+            nxt = prod if cur is None else cur + prod
+            if nxt:
+                out[a] = nxt
+            else:
+                out.pop(a, None)
+    return out
+
+
 def nilpotency_degree(v):
-    """Smallest l with N^l = 0; raises if N^(2n) is still nonzero."""
-    ent = v.entries()
-    if not ent:
-        return 1
+    """Smallest l with N^l = 0; raises if N^(2n) is still nonzero.
+
+    N^l = 0 exactly when N^l e_b = 0 for every basis vector e_b, so the
+    degree is the longest chain e_b, N e_b, N^2 e_b, ... before it reaches
+    zero.  A chain of full length 2n that ends in zero stops the search: its
+    vectors N^i e_b (0 <= i < 2n) are independent (apply N^(2n-1-i) to a
+    relation whose first nonzero term is at i), so they form a basis that
+    N^(2n) kills, and no later chain can be longer or fail to end.
+    """
+    cols = {}
+    for (a, b), x in v.entries().items():
+        cols.setdefault(b, []).append((a, x))
     bound = 2 * v.field.n
-    power = ent
     degree = 1
-    while power:
-        if degree >= bound:
-            raise NotNilpotentError("the realization is not nilpotent")
-        power = _mat_mult(power, ent)
-        degree += 1
+    for b in v.field.signed_indices():
+        vec = dict(cols.get(b, ()))  # N e_b, read off without a product
+        length = 1
+        while vec:
+            if length >= bound:
+                raise NotNilpotentError("the realization is not nilpotent")
+            vec = _mat_vec(cols, vec)
+            length += 1
+        if length == bound:
+            return bound
+        degree = max(degree, length)
     return degree
 
 

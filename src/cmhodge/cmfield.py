@@ -399,6 +399,14 @@ class OrientedCMField:
 _BUILD_TOKEN = object()
 
 
+def _check_odd_weight(weight):
+    """A weight is a positive odd int; a JSON boolean is not one."""
+    if type(weight) is not int or weight < 1 or weight % 2 == 0:
+        raise InvalidOrientationError(
+            f"odd weight required, got {weight!r}", reason="odd-weight-required"
+        )
+
+
 def validate_orientation(galois, orientation):
     """Check an orientation against a CM datum and return the oriented field.
 
@@ -406,10 +414,7 @@ def validate_orientation(galois, orientation):
     p + q = weight and p, q >= 0, and conjugation swapping (p, q) -> (q, p).
     """
     weight = orientation.weight
-    if not isinstance(weight, int) or weight < 1 or weight % 2 == 0:
-        raise InvalidOrientationError(
-            f"odd weight required, got {weight!r}", reason="odd-weight-required"
-        )
+    _check_odd_weight(weight)
     assignment = orientation.assignment
     if set(assignment) != set(galois.labels):
         raise InvalidOrientationError(
@@ -439,10 +444,7 @@ def enumerate_orientations(galois, weight, hodge_numbers):
     so the output order is the lexicographic order of those picks with
     classes sorted by descending p.
     """
-    if not isinstance(weight, int) or weight < 1 or weight % 2 == 0:
-        raise InvalidOrientationError(
-            f"odd weight required, got {weight!r}", reason="odd-weight-required"
-        )
+    _check_odd_weight(weight)
     h = list(hodge_numbers)
     if len(h) != weight + 1:
         raise UsageError(

@@ -73,32 +73,26 @@ class SpanBasis:
 
     def insert(self, vec):
         """Reduce vec against the span; add it if independent.  True if added."""
-        vec = {c: x for c, x in vec.items() if x}
-        while vec:
-            pivot = min(vec)
-            row = self.rows.get(pivot)
-            if row is None:
-                inv = vec[pivot].inverse()
-                self.rows[pivot] = {c: x * inv for c, x in vec.items()}
-                return True
-            factor = vec[pivot]
-            for c, x in row.items():
-                cur = vec.get(c)
-                nxt = -(factor * x) if cur is None else cur - factor * x
-                if nxt:
-                    vec[c] = nxt
-                else:
-                    vec.pop(c, None)
-        return False
+        rest = self._reduce(vec)
+        if not rest:
+            return False
+        pivot = min(rest)
+        inv = rest[pivot].inverse()
+        self.rows[pivot] = {c: x * inv for c, x in rest.items()}
+        return True
 
     def contains(self, vec):
         """True when vec already lies in the span (vec is left untouched)."""
+        return not self._reduce(vec)
+
+    def _reduce(self, vec):
+        """A reduced copy of vec: empty when vec lies in the span, else led by a free pivot."""
         vec = {c: x for c, x in vec.items() if x}
         while vec:
             pivot = min(vec)
             row = self.rows.get(pivot)
             if row is None:
-                return False
+                break
             factor = vec[pivot]
             for c, x in row.items():
                 cur = vec.get(c)
@@ -107,4 +101,4 @@ class SpanBasis:
                     vec[c] = nxt
                 else:
                     vec.pop(c, None)
-        return True
+        return vec

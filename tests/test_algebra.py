@@ -188,6 +188,127 @@ def test_cartan_is_not_nilpotent(oriented7, pol7):
         nilpotency_degree(cartan_elements(oriented7, pol7)[0])
 
 
+def _matrix_power_degree(v):
+    """Reference: multiply out N, N^2, ... until the power vanishes or reaches N^(2n)."""
+    ent = v.entries()
+    rows = {}
+    for (a, b), x in ent.items():
+        rows.setdefault(a, {})[b] = x
+    power = rows
+    degree = 1
+    while power:
+        if degree >= 2 * v.field.n:
+            raise NotNilpotentError("the realization is not nilpotent")
+        nxt = {}
+        for a, row in power.items():
+            out = {}
+            for b, x in row.items():
+                for c, y in rows.get(b, {}).items():
+                    out[c] = out[c] + x * y if c in out else x * y
+            out = {c: z for c, z in out.items() if z}
+            if out:
+                nxt[a] = out
+        power = nxt
+        degree += 1
+    return degree
+
+
+def _degree_or_error(fn, v):
+    try:
+        return fn(v)
+    except NotNilpotentError as exc:
+        return (type(exc), exc.reason, str(exc))
+
+
+def _positive_roots(n):
+    """Root indices whose realization is strictly upper triangular in the order 1..n, -n..-1."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)] + [
+        (i, -j) for i in range(1, n + 1) for j in range(i, n + 1)
+    ]
+
+
+NILPOTENT_LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))]
+
+
+@pytest.mark.parametrize("m,hodge", NILPOTENT_LADDER, ids=[f"m{m}" for m, _ in NILPOTENT_LADDER])
+def test_nilpotency_degree_matches_matrix_powers_on_rational_nilpotents(m, hodge):
+    from cmhodge.acceptance import rational_nilpotent_examples
+
+    field = first_oriented(m, 3, hodge)
+    pol = default_polarization(field)
+    degrees = {}
+    for name, v in rational_nilpotent_examples(field, pol):
+        degrees[name] = nilpotency_degree(v)
+        assert degrees[name] == _matrix_power_degree(v), name
+    assert degrees["square-zero"] == 2
+    assert degrees["full-chain"] == 2 * field.n
+
+
+@pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (16, (1, 3, 3, 1))], ids=["m7", "m16"])
+def test_nilpotency_degree_matches_matrix_powers_on_upper_triangular_sums(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    pol = default_polarization(field)
+    M = field.working_conductor
+    n = field.n
+    roots = _positive_roots(n)
+    rng = random.Random(f"upper-triangular-{m}")
+    seen = set()
+    for _ in range(120):
+        v = zero_element(field, pol)
+        for ij in rng.sample(roots, rng.randrange(0, len(roots) + 1)):
+            c = CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, -1, 1, 3))
+            v = v + root_vector(field, pol, *ij) * c
+        degree = nilpotency_degree(v)
+        assert degree == _matrix_power_degree(v)
+        seen.add(degree)
+    # sparse draws rarely reach the middle degrees, so add the chains X_12 + ... + X_{k-1,k}
+    for k in range(2, n + 1):
+        v = zero_element(field, pol)
+        for i in range(1, k):
+            v = v + root_vector(field, pol, i, i + 1)
+        for w in (v, v + root_vector(field, pol, k, -k)):
+            degree = nilpotency_degree(w)
+            assert degree == _matrix_power_degree(w)
+            seen.add(degree)
+    # odd Jordan blocks of a nilpotent in sp(2n) come in pairs, so an odd
+    # degree above n cannot occur; every other degree from 1 to 2n does
+    assert seen == {l for l in range(1, 2 * n + 1) if l % 2 == 0 or l <= n}
+
+
+def test_nilpotency_degree_reads_past_a_short_first_chain(oriented7, pol7):
+    # the principal nilpotent X_12 + X_23 + X_{3,-3} kills e_1, so the first
+    # chain in basis order has length one; the full chain starts at e_{-1}
+    v = (
+        root_vector(oriented7, pol7, 1, 2)
+        + root_vector(oriented7, pol7, 2, 3)
+        + root_vector(oriented7, pol7, 3, -3)
+    )
+    assert all(b != 1 for (_, b) in v.entries())
+    assert nilpotency_degree(v) == _matrix_power_degree(v) == 6
+
+
+def test_nilpotency_degree_of_zero_is_one(oriented7, pol7):
+    zero = zero_element(oriented7, pol7)
+    assert nilpotency_degree(zero) == _matrix_power_degree(zero) == 1
+
+
+def test_nilpotency_degree_raises_like_matrix_powers(oriented7, pol7):
+    x12 = root_vector(oriented7, pol7, 1, 2)
+    principal = x12 + root_vector(oriented7, pol7, 2, 3) + root_vector(oriented7, pol7, 3, -3)
+    cases = [
+        cartan_elements(oriented7, pol7)[0],
+        principal + root_vector(oriented7, pol7, 1, 1),
+        # chains from e_1 and e_2 end before the one from e_3 cycles
+        x12 + root_vector(oriented7, pol7, 3, 3),
+        reynolds_average(oriented7, x12),
+    ]
+    for v in cases:
+        got = _degree_or_error(nilpotency_degree, v)
+        assert isinstance(got, tuple)
+        assert got == _degree_or_error(_matrix_power_degree, v)
+        assert got[1] == "not-nilpotent"
+
+
 def test_generated_subalgebra_dimensions(oriented7, pol7):
     x12 = root_vector(oriented7, pol7, 1, 2)
     x21 = root_vector(oriented7, pol7, 2, 1)

@@ -4,8 +4,17 @@ import sys
 
 import pytest
 
+from cmhodge import (
+    Orientation,
+    default_polarization,
+    field_to_json,
+    root_vector,
+    validate_orientation,
+    zero_element,
+)
 from cmhodge.acceptance import rational_nilpotent_witness
 from cmhodge.cli import main
+from conftest import abstract_z6
 
 ORIENTATION_7 = json.dumps(
     {
@@ -100,6 +109,16 @@ def test_even_weight_is_a_domain_error(capsys):
     code, doc = run_cli(
         capsys, "nondeg", "--conductor", "7",
         "--weight", "2", "--orientation", flat,
+    )
+    assert code == 3
+    assert doc["error"]["reason"] == "odd-weight-required"
+
+
+def test_boolean_weight_is_a_domain_error(capsys):
+    weight_one = {str(k): [1, 0] if k < 4 else [0, 1] for k in range(1, 7)}
+    code, doc = run_cli(
+        capsys, "grading", "--conductor", "7",
+        "--orientation", json.dumps({"weight": True, "assignment": weight_one}),
     )
     assert code == 3
     assert doc["error"]["reason"] == "odd-weight-required"
@@ -247,6 +266,57 @@ def test_escape_constructs_its_own_witness(capsys):
     assert code == 0
     assert doc["result"]["applicable"] is True
     assert doc["result"]["closure_dimension"] == 21
+
+
+BALANCED_Z6 = {
+    "a": [3, 0], "b": [2, 1], "c": [2, 1],
+    "A": [0, 3], "B": [1, 2], "C": [1, 2],
+}
+
+
+@pytest.fixture(scope="module")
+def abstract_files(tmp_path_factory):
+    """The abstract Z/6 field, and two rational elements over its balanced orientation."""
+    galois = abstract_z6()
+    field = validate_orientation(
+        galois, Orientation(3, {lab: tuple(pq) for lab, pq in BALANCED_Z6.items()})
+    )
+    pol = default_polarization(field)
+    # the sum of the X_{k,-k} and X_{-k,k} is fixed by the group but not nilpotent
+    swap = zero_element(field, pol)
+    for k in (1, 2, 3):
+        swap = swap + root_vector(field, pol, k, -k) + root_vector(field, pol, -k, k)
+    base = tmp_path_factory.mktemp("abstract")
+    paths = {}
+    for name, doc in (
+        ("field", field_to_json(galois)),
+        ("zero", zero_element(field, pol).to_json()),
+        ("swap", swap.to_json()),
+    ):
+        path = base / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def test_escape_witness_needs_a_cyclotomic_field(capsys, abstract_files):
+    code, doc = run_cli(
+        capsys, "escape", "--abstract-file", abstract_files["field"],
+        "--weight", "3", "--orientation", json.dumps({"assignment": BALANCED_Z6}),
+    )
+    assert code == 3
+    assert doc["error"]["reason"] == "witness-needs-cyclotomic"
+
+
+def test_escape_element_on_an_abstract_field(capsys, abstract_files):
+    code, doc = run_cli(capsys, "escape", "--element", abstract_files["zero"])
+    assert code == 0
+    assert doc["result"]["nilpotency_degree"] == 1
+    assert doc["result"]["applicable"] is False
+    assert doc["result"]["nondegeneracy"]["verdict"] == "nondegenerate"
+    code, doc = run_cli(capsys, "escape", "--element", abstract_files["swap"])
+    assert code == 3
+    assert doc["error"]["reason"] == "not-nilpotent"
 
 
 def test_rigidity_command(capsys):

@@ -137,6 +137,19 @@ def test_validate_orientation_rejects_even_weight():
     assert "odd weight required" in str(err.value)
 
 
+def test_boolean_weight_is_not_an_odd_weight():
+    # True is an int to isinstance, and 1 is odd, so both checks must refuse bools
+    galois = build_cyclotomic_cm(7)
+    assignment = {lab: (1, 0) if lab < 4 else (0, 1) for lab in galois.labels}
+    validate_orientation(galois, Orientation(1, assignment))
+    with pytest.raises(InvalidOrientationError) as err:
+        validate_orientation(galois, Orientation(True, assignment))
+    assert err.value.reason == "odd-weight-required"
+    with pytest.raises(InvalidOrientationError) as err:
+        enumerate_orientations(galois, True, (3, 3))
+    assert err.value.reason == "odd-weight-required"
+
+
 def test_validate_orientation_rejects_label_mismatch():
     galois = build_cyclotomic_cm(7)
     bad = dict(CANONICAL_7)

@@ -77,6 +77,41 @@ def test_span_basis_contains_leaves_span_unchanged():
     assert span.dimension == 1
 
 
+def test_span_basis_contains_changes_neither_argument_nor_span():
+    M = 7
+    z = CyclotomicNumber.root_of_unity(M, 1)
+    one = CyclotomicNumber.one(M)
+    zero = CyclotomicNumber.zero(M)
+    span = SpanBasis()
+    span.insert({0: one, 2: z})
+    span.insert({1: z, 2: one})
+    rows = {p: dict(row) for p, row in span.rows.items()}
+    inside = {0: z, 1: z * z, 2: z * z + z, 3: zero}
+    outside = {0: one, 3: z}
+    for vec in (inside, outside):
+        before = dict(vec)
+        span.contains(vec)
+        assert vec == before
+    assert span.contains(inside)
+    assert not span.contains(outside)
+    assert span.rows == rows
+
+
+def test_span_basis_insert_and_contains_agree():
+    rng = random.Random("span-contains")
+    M = 9
+    span = SpanBasis()
+    for _ in range(60):
+        vec = {
+            c: CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.randrange(-2, 3)
+            for c in rng.sample(range(6), rng.randrange(1, 4))
+        }
+        held = span.contains(vec)
+        assert span.insert(vec) is not held
+        assert span.contains(vec)
+    assert span.dimension == 6
+
+
 def test_span_basis_with_cyclotomic_coefficients():
     M = 7
     z = CyclotomicNumber.root_of_unity(M, 1)
