@@ -26,7 +26,7 @@ from .errors import (
     NotNilpotentError,
     UsageError,
 )
-from .linalg import SpanBasis
+from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError
 
 
 class PolarizationData:
@@ -544,17 +544,43 @@ def generated_subalgebra(seeds):
     Returns (dimension, basis elements).  Breadth first: every sweep brackets
     the newly added elements against the whole current basis, extending the
     span, until nothing new appears or the ambient dimension n(2n+1) is hit.
+
+    Brackets are exact; independence is first decided modulo a prime p that
+    splits completely in Q(zeta_M) (``linalg.ModularSpan``), and the answer
+    of that pass is kept only when it reaches n(2n+1).  Why that is exact:
+    zeta -> omega is a ring map from the p-integral elements of Q(zeta_M)
+    onto F_p, so the rank mod p of p-integral vectors is at most their rank
+    over Q(zeta_M).  Every element the modular pass accepts is an exact
+    bracket inside the generated algebra A, and the images of the accepted
+    elements are independent mod p, so the elements are independent over
+    Q(zeta_M).  n(2n+1) of them therefore prove dim A = n(2n+1) and form a
+    true basis of A.  Below that a modular reject may be a false dependence,
+    so the closure is run again with the exact ``SpanBasis``, as it is when
+    p divides some coordinate's denominator.  Both passes accept the same
+    brackets, and so return the same basis, unless p turns an independent
+    bracket into a false reject.
     """
     seeds = list(seeds)
     if not seeds:
         raise UsageError("generated_subalgebra needs at least one seed")
-    field, pol = seeds[0].field, seeds[0].pol
     for s in seeds[1:]:
         seeds[0]._check_compatible(s)
+    field = seeds[0].field
     n = field.n
+    try:
+        dim, basis = _closure(seeds, ModularSpan(field.working_conductor))
+    except UnluckyPrimeError:
+        dim = None
+    if dim == n * (2 * n + 1):
+        return dim, basis
+    return _closure(seeds, SpanBasis())
+
+
+def _closure(seeds, span):
+    """The breadth-first closure of generated_subalgebra, deciding independence with span."""
+    n = seeds[0].field.n
     ambient = n * (2 * n + 1)
     coord_of = {ij: t for t, ij in enumerate(all_root_indices(n))}
-    span = SpanBasis()
     basis = []
     new = []
     for s in seeds:

@@ -193,10 +193,27 @@ def _cmd_closure(args):
 
 def _cmd_escape(args):
     if args.element:
+        given = [
+            flag
+            for flag, value in (
+                ("--conductor", args.conductor),
+                ("--abstract-file", args.abstract_file),
+                ("--weight", args.weight),
+                ("--orientation", args.orientation),
+            )
+            if value is not None
+        ]
+        if given:
+            raise UsageError(
+                f"--element carries its own field; drop {', '.join(given)}",
+                reason="element-excludes-field-flags",
+            )
         element = element_from_json(_read_json_file(args.element))
         field = element.field
         pol = element.pol
     else:
+        if not args.orientation:
+            raise UsageError("escape needs --element, or field flags plus --orientation")
         field = _load_oriented(args)
         pol = default_polarization(field)
         element = rational_nilpotent_witness(field, pol)
@@ -313,8 +330,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "escape" and not args.element and not args.orientation:
-            raise UsageError("escape needs --element, or field flags plus --orientation")
         payload = args.fn(args)
     except TheoremViolationError as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": {"reason": exc.reason, "message": str(exc)}}, args)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
+from .cyclotomic import euler_phi
 from .errors import (
     EnumerationCapError,
     InvalidOrientationError,
@@ -176,7 +177,8 @@ def build_cyclotomic_cm(m):
 
     Requires m >= 3 with m not congruent to 2 mod 4, so every conductor
     names a distinct field and conjugation (multiplication by -1) is
-    fixed-point free.
+    fixed-point free.  The group has phi(m) elements, so a conductor with
+    phi(m) above GROUP_ENUMERATION_CAP is refused before any enumeration.
     """
     if not isinstance(m, int) or m < 3:
         raise NotCMFieldError(f"conductor {m!r} does not give a CM field")
@@ -184,6 +186,12 @@ def build_cyclotomic_cm(m):
         raise NotCMFieldError(
             f"conductor {m} is not canonical (congruent to 2 mod 4)",
             reason="conductor-not-canonical",
+        )
+    order = euler_phi(m)
+    if order > GROUP_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"conductor {m} gives a group of order {order}, "
+            f"more than {GROUP_ENUMERATION_CAP} elements"
         )
     labels = tuple(a for a in range(1, m) if gcd(a, m) == 1)
 

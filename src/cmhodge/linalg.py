@@ -1,8 +1,10 @@
 """Exact linear algebra kernels.
 
-Two pieces: fraction-free integer elimination for ranks over Q, and an
-incremental echelon span over a cyclotomic coefficient field.  No pivot
-thresholds, no floats; every rank reported here is exact.
+Three pieces: fraction-free integer elimination for ranks over Q, an
+incremental echelon span over a cyclotomic coefficient field, and the same
+span taken modulo a prime that splits completely in that field.  No pivot
+thresholds, no floats; the first two report exact ranks, and the modular
+span a lower bound for them (see ``ModularSpan``).
 """
 
 from __future__ import annotations
@@ -102,3 +104,113 @@ class SpanBasis:
                 else:
                     vec.pop(c, None)
         return vec
+
+
+# Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and
+# Webster); every number tested here is far smaller.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def split_prime(M):
+    """The first prime p = 1 (mod M) above 2^61, and a primitive M-th root of unity mod p.
+
+    Such a p splits completely in Q(zeta_M), and zeta_M -> omega is a ring
+    map from the p-integral elements of Q(zeta_M) onto F_p.  omega is
+    a^((p-1)/M) for the least a >= 2 for which that power has order M.
+    """
+    p = 2**61 + 1 + (-(2**61)) % M
+    while not _is_prime(p):
+        p += M
+    a = 2
+    while True:  # F_p^* is cyclic of order divisible by M, so this ends
+        omega = pow(a, (p - 1) // M, p)
+        x, order = omega, 1
+        while x != 1:
+            x = x * omega % p
+            order += 1
+        if order == M:
+            return p, omega
+        a += 1
+
+
+class UnluckyPrimeError(ArithmeticError):
+    """A coordinate's denominator is divisible by the prime of a ModularSpan."""
+
+
+class ModularSpan:
+    """The image of a span in F_p, p = split_prime(M), built one vector at a time.
+
+    Same ``insert``/``dimension`` interface as ``SpanBasis``.  A coordinate
+    c = sum num_i zeta^i / den goes to sum num_i omega^i * den^-1 mod p, and
+    rows are kept with a unit pivot over F_p.  Vectors whose images are
+    independent mod p are independent over Q(zeta_M); the converse can
+    fail, so ``dimension`` is a lower bound for the exact one.  A
+    coordinate with p dividing its denominator has no image and raises
+    ``UnluckyPrimeError``.
+    """
+
+    def __init__(self, M):
+        self.prime, omega = split_prime(M)
+        self._powers = [pow(omega, i, self.prime) for i in range(M)]
+        self.rows = {}
+
+    @property
+    def dimension(self):
+        return len(self.rows)
+
+    def _image(self, x):
+        p = self.prime
+        if x.den % p == 0:
+            raise UnluckyPrimeError(f"{p} divides the denominator {x.den}")
+        y = sum(c * w for c, w in zip(x.num, self._powers))
+        if x.den != 1:
+            y *= pow(x.den, -1, p)
+        return y % p
+
+    def insert(self, vec):
+        """Reduce the image of vec against the span; add it if independent.  True if added."""
+        p = self.prime
+        rest = {}
+        for c, x in vec.items():
+            y = self._image(x)
+            if y:
+                rest[c] = y
+        while rest:
+            pivot = min(rest)
+            row = self.rows.get(pivot)
+            if row is None:
+                inv = pow(rest[pivot], -1, p)
+                self.rows[pivot] = {c: y * inv % p for c, y in rest.items()}
+                return True
+            factor = rest[pivot]
+            for c, y in row.items():
+                nxt = (rest.get(c, 0) - factor * y) % p
+                if nxt:
+                    rest[c] = nxt
+                else:
+                    rest.pop(c, None)
+        return False

@@ -31,19 +31,8 @@ from .errors import (
     UsageError,
 )
 from .graphs import support_graph
-from .linalg import rank_rational
+from .linalg import _is_prime, rank_rational
 from .polynomials import Poly, poly_gcd
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,7 @@ def circulant_rank(spec):
     """Rank via the gcd of the symbol polynomial with x^p - 1."""
     p = spec.size
     f = Poly(spec.entries)
-    g = poly_gcd(f, Poly.x_power(p) - Poly.one())
+    g = poly_gcd(f, Poly._make((-1,) + (0,) * (p - 1) + (1,)))  # x^p - 1
     return p - g.degree if not f.is_zero() else 0
 
 

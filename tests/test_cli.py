@@ -204,6 +204,12 @@ def test_escape_needs_element_or_orientation(capsys):
     assert code == 2
 
 
+def test_field_with_a_huge_conductor_exits_3_at_once(capsys):
+    code, doc = run_cli(capsys, "field", "--conductor", "1000003")
+    assert code == 3
+    assert doc["error"]["reason"] == "enumeration-cap-exceeded"
+
+
 @pytest.fixture(scope="module")
 def witness_file(tmp_path_factory, oriented7, pol7):
     v = rational_nilpotent_witness(oriented7, pol7)
@@ -256,6 +262,32 @@ def test_escape_from_element_file(capsys, witness_file):
     assert doc["result"]["applicable"] is True
     assert doc["result"]["nilpotency_degree"] == 6
     assert doc["result"]["closure_dimension"] == 21
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        # contradictory: another conductor and weight, and a malformed orientation
+        (["--conductor", "9", "--weight", "5", "--orientation", '{"x":1}'],
+         "--conductor, --weight, --orientation"),
+        # redundant: the witness's own conductor, weight and orientation
+        (["--conductor", "7"], "--conductor"),
+        (["--weight", "3", "--orientation", ORIENTATION_7], "--weight, --orientation"),
+    ],
+)
+def test_escape_element_refuses_field_flags(capsys, witness_file, extra, named):
+    code, doc = run_cli(capsys, "escape", "--element", witness_file, *extra)
+    assert code == 2
+    assert doc["error"]["reason"] == "element-excludes-field-flags"
+    assert doc["error"]["message"].endswith(f"drop {named}")
+
+
+def test_escape_element_refuses_an_abstract_file(capsys, witness_file, abstract_files):
+    code, doc = run_cli(
+        capsys, "escape", "--element", witness_file, "--abstract-file", abstract_files["field"]
+    )
+    assert code == 2
+    assert doc["error"]["reason"] == "element-excludes-field-flags"
 
 
 def test_escape_constructs_its_own_witness(capsys):

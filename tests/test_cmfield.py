@@ -57,6 +57,15 @@ def test_enumerate_group_cap():
         build_cyclotomic_cm(11).enumerate_group(cap=5)
 
 
+@pytest.mark.parametrize("m", [10007, 1000003])
+def test_conductor_past_the_cap_is_refused_before_enumeration(m):
+    # phi(m) = m - 1 > GROUP_ENUMERATION_CAP; building the labels alone would take seconds
+    with pytest.raises(EnumerationCapError) as err:
+        build_cyclotomic_cm(m)
+    assert err.value.reason == "enumeration-cap-exceeded"
+    assert f"order {m - 1}" in str(err.value)
+
+
 def test_abstract_round_trip_and_structure():
     galois = abstract_z6()
     assert galois.flavor == "abstract"

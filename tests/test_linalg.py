@@ -3,8 +3,18 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cmhodge.cyclotomic import CyclotomicNumber
-from cmhodge.linalg import SpanBasis, rank_rational
+from cmhodge.linalg import (
+    ModularSpan,
+    SpanBasis,
+    UnluckyPrimeError,
+    _is_prime,
+    rank_rational,
+    split_prime,
+)
+from cmhodge.polynomials import cyclotomic_polynomial
 
 
 def test_rank_of_identity_and_zero():
@@ -152,3 +162,96 @@ def test_rank_leaves_int_rows_untouched():
     copy = [list(r) for r in rows]
     assert rank_rational(rows) == 2
     assert rows == copy
+
+
+def _sieve(limit):
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for q in range(2, int(limit**0.5) + 1):
+        if flags[q]:
+            flags[q * q :: q] = [False] * len(flags[q * q :: q])
+    return flags
+
+
+def test_is_prime_agrees_with_a_sieve():
+    flags = _sieve(10**5)
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if flags[n]]
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert 3215031751 == 151 * 751 * 28351
+    assert not _is_prime(3215031751)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+
+
+def _prime_divisors(m):
+    flags = _sieve(m + 1)
+    return [q for q in range(2, m + 1) if m % q == 0 and flags[q]]
+
+
+@pytest.mark.parametrize("M", [4, 16, 28, 36, 44, 84])
+def test_split_prime(M):
+    p, omega = split_prime(M)
+    assert p > 2**61 and p % M == 1 and _is_prime(p)
+    # the first such prime: every smaller candidate fails a Fermat test
+    for q in range(p - M, 2**61, -M):
+        assert pow(2, q - 1, q) != 1
+    # omega has order exactly M
+    assert pow(omega, M, p) == 1
+    assert all(pow(omega, M // q, p) != 1 for q in _prime_divisors(M))
+    # and is a root of the M-th cyclotomic polynomial mod p
+    phi = cyclotomic_polynomial(M)
+    assert phi.den == 1
+    assert sum(c * pow(omega, i, p) for i, c in enumerate(phi.num)) % p == 0
+
+
+def _random_cyclotomic(rng, M):
+    z = CyclotomicNumber.root_of_unity(M, 1)
+    out = CyclotomicNumber.zero(M)
+    for _ in range(rng.randrange(1, 4)):
+        out = out + z ** rng.randrange(M) * Fraction(rng.randrange(-5, 6), rng.randrange(1, 8))
+    return out
+
+
+@pytest.mark.parametrize("M", [4, 28, 44])
+def test_modular_image_is_a_ring_map(M):
+    span = ModularSpan(M)
+    p = span.prime
+    rng = random.Random(f"modular-image-{M}")
+    assert span._image(CyclotomicNumber.one(M)) == 1
+    assert span._image(CyclotomicNumber.from_rational(M, Fraction(1, 3))) * 3 % p == 1
+    for _ in range(50):
+        x, y = _random_cyclotomic(rng, M), _random_cyclotomic(rng, M)
+        assert span._image(x * y) == span._image(x) * span._image(y) % p
+        assert span._image(x + y) == (span._image(x) + span._image(y)) % p
+
+
+@pytest.mark.parametrize("M", [4, 28, 44])
+def test_modular_span_agrees_with_span_basis(M):
+    rng = random.Random(f"modular-span-{M}")
+    outcomes = set()
+    for _ in range(10):
+        exact, modular = SpanBasis(), ModularSpan(M)
+        inserted = []
+        for _ in range(12):
+            if inserted and rng.random() < 0.5:
+                # a combination of vectors already offered, with cyclotomic weights
+                vec = {}
+                for old in rng.sample(inserted, min(len(inserted), 3)):
+                    w = _random_cyclotomic(rng, M)
+                    for c, x in old.items():
+                        vec[c] = vec.get(c, CyclotomicNumber.zero(M)) + w * x
+            else:
+                vec = {c: _random_cyclotomic(rng, M) for c in rng.sample(range(8), rng.randrange(1, 5))}
+            inserted.append(vec)
+            added = exact.insert(vec)
+            assert modular.insert(vec) == added
+            outcomes.add(added)
+        assert modular.dimension == exact.dimension
+    assert outcomes == {True, False}
+
+
+def test_modular_span_refuses_a_denominator_divisible_by_its_prime():
+    span = ModularSpan(28)
+    x = CyclotomicNumber.root_of_unity(28, 3) * Fraction(5, 3 * span.prime)
+    with pytest.raises(UnluckyPrimeError):
+        span.insert({0: x})
+    assert span.dimension == 0
