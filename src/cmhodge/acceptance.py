@@ -23,7 +23,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .algebra import (
     _gauge_units,
@@ -40,10 +40,10 @@ from .algebra import (
     root_vector,
 )
 from .cmfield import build_cyclotomic_cm, enumerate_orientations, validate_orientation
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, euler_phi
 from .errors import DomainError, TheoremViolationError
 from .graphs import is_block_system, support_graph, trivial_partition_check
-from .linalg import rank_rational
+from .linalg import _accumulate, rank_rational
 from .verifiers import (
     CirculantSpec,
     circulant_matrix,
@@ -68,81 +68,70 @@ def _first_oriented(m, weight, hodge):
 # -- constructive rational nilpotents -----------------------------------
 
 
-def _q_rows(idx, i_unit, x):
-    """x and i*x as int rows over Q: all coordinates over one common denominator per row.
+def _ramanujan_sum(m, e):
+    """c_m(e) = sum of zeta_m^(l*e) over the units l mod m, an integer.
 
-    Their Q-span is the Q(i)-line through x, so the rank of the rows of
-    several vectors is twice their rank over Q(i).
+    By von Sterneck's formula it is mu(t) * phi(m) / phi(t) with
+    t = m / gcd(m, e), where mu is the Moebius function.
     """
-    rows = []
-    for coords in ([x[a] for a in idx], [i_unit * x[a] for a in idx]):
-        den = lcm(*(c.den for c in coords))
-        rows.append([v * (den // c.den) for c in coords for v in c.num])
-    return rows
+    t = m // gcd(m, e)
+    mu, rest, p = 1, t, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    if rest > 1:
+        mu = -mu
+    return mu * (euler_phi(m) // euler_phi(t))
 
 
 def _fixed_vectors(field):
-    """A basis over Q(i) of the fixed vectors of the twisted permutation action.
+    """The 2n vectors y_a (a = 0..2n-1) whose coordinate at index k is zeta_m^(a*l(k)).
 
-    Group elements move a vector by permuting its coordinates and applying
-    the coefficient automorphism.  Averaging coordinate vectors over the
-    group and extracting a maximal independent set (independence over the
-    rationals extended by i, hence the doubled row trick) yields 2n vectors.
+    Here l(k) is the label of k, a unit mod m with l(1) = 1.  A group element
+    moves labels by a unit s and coefficients by zeta_m -> zeta_m^s, so it
+    sends the coordinate zeta_m^(a*l) at label l to zeta_m^(a*s*l) at label
+    s*l: y_a is fixed.  (It is the group average of zeta_m^a times the first
+    coordinate vector.)  The coordinates form a Vandermonde matrix in the
+    2n = phi(m) distinct roots of unity zeta_m^l(k), with exponents a below
+    phi(m), so the y_a are independent over Q(zeta_M) with no rank check.
     """
-    galois = field.galois
     M = field.working_conductor
-    idx = field.signed_indices()
-    zero = CyclotomicNumber.zero(M)
-    i_unit = CyclotomicNumber.i_unit(M)
-    zeta = CyclotomicNumber.root_of_unity(M, M // galois.conductor)
-    group = galois.enumerate_group()
+    step = M // field.galois.conductor
+    labels = field.index_to_label
+    return [
+        {k: CyclotomicNumber.root_of_unity(M, step * a * labels[k]) for k in field.signed_indices()}
+        for a in range(2 * field.n)
+    ]
 
-    def act(perm, x):
-        exp = field.coeff_exponent(perm)
-        inv = galois.inverse(perm)
-        return {a: x[field.act_index(inv, a)].galois(exp) for a in idx}
 
-    def average(x):
-        out = {a: zero for a in idx}
-        for g in group:
-            moved = act(g, x)
-            out = {a: out[a] + moved[a] for a in idx}
-        return out
-
-    basis = []
-    rows = []
-    for k, a in itertools.product(idx, range(galois.conductor)):
-        seed = {b: zero for b in idx}
-        seed[k] = zeta**a
-        y = average(seed)
-        if all(not y[b] for b in idx):
-            continue
-        # the accepted vectors are independent over Q(i), so their rows have
-        # rank 2 * len(basis) by construction; y is new exactly when its two
-        # rows raise that rank
-        candidate = rows + _q_rows(idx, i_unit, y)
-        if rank_rational(candidate) > 2 * len(basis):
-            basis.append(y)
-            rows = candidate
-        if len(basis) == 2 * field.n:
-            break
-    if len(basis) != 2 * field.n:
-        raise TheoremViolationError(
-            f"the fixed vectors span {len(basis)} dimensions over Q(i), not 2n = {2 * field.n}"
-        )
-    return basis
+def _gram_matrix(m, size):
+    """G_ab = c_m(a-b+1) - c_m(a-b-1) for a, b below size: the pairing on the y_a."""
+    toeplitz = {e: _ramanujan_sum(m, e + 1) - _ramanujan_sum(m, e - 1) for e in range(1 - size, size)}
+    return [[toeplitz[a - b] for b in range(size)] for a in range(size)]
 
 
 def _fixed_symplectic_pairs(field, pol):
     """Darboux basis of the fixed vectors of the twisted permutation action.
 
-    In the equivariant gauge the group action preserves the pairing on the
-    nose, so symplectic Gram-Schmidt turns the basis of ``_fixed_vectors``
-    into hyperbolic pairs (u_a, v_a) with pairing(u_a, v_b) = delta_ab and
-    pairing(u_a, u_b) = pairing(v_a, v_b) = 0.  Returns the pairs and the
-    pairing values on the coordinate vectors.  Cached per polarization;
-    everything is exact.  The equivariant gauge exists for the cyclotomic
-    flavor only, so an abstract field is refused before any work.
+    In the equivariant gauge (``algebra._gauge_units``) the pairing value at
+    index k is sigma_l(zeta_m - zeta_m^-1) with l the label of k, and the
+    group preserves the pairing on the nose.  On the vectors y_a of
+    ``_fixed_vectors`` the pairing is therefore the integer Toeplitz matrix
+
+        G_ab = sum over units l of zeta_m^((a-b+1)l) - zeta_m^((a-b-1)l)
+             = c_m(a-b+1) - c_m(a-b-1),
+
+    c_m the Ramanujan sum.  Symplectic Gram-Schmidt against G, on Fraction
+    coefficient vectors, gives hyperbolic pairs (u_a, v_a) with
+    pairing(u_a, v_b) = delta_ab and pairing(u_a, u_b) = pairing(v_a, v_b)
+    = 0, each embedded as sum_b c_b y_b.  Returns the pairs and the pairing
+    values on the coordinate vectors; everything is exact.  The equivariant
+    gauge exists for the cyclotomic flavor only, so an abstract field is
+    refused before any work.
     """
     if field.galois.flavor != "cyclotomic":
         raise DomainError(
@@ -150,49 +139,54 @@ def _fixed_symplectic_pairs(field, pol):
             "give the nilpotent of an abstract field with --element",
             reason="witness-needs-cyclotomic",
         )
-    cached = getattr(pol, "_darboux_cache", None)
-    if cached is not None:
-        return cached
+    m = field.galois.conductor
     M = field.working_conductor
+    step = M // m
     idx = field.signed_indices()
-    zero = CyclotomicNumber.zero(M)
-    i_unit = CyclotomicNumber.i_unit(M)
-    _, dinv = _gauge_units(pol)
     pairing_values = {}
-    for k in range(1, field.n + 1):
-        pairing_values[k] = dinv[k] * i_unit * pol.epsilons[k]
-        pairing_values[-k] = -pairing_values[k]
+    for k in idx:
+        e = step * field.index_to_label[k]
+        pairing_values[k] = CyclotomicNumber.root_of_unity(M, e) - CyclotomicNumber.root_of_unity(M, -e)
 
-    def pairing(x, y):
-        total = zero
-        for k in idx:
-            total = total + pairing_values[k] * x[k] * y[-k]
-        return total
+    size = 2 * field.n
+    gram = _gram_matrix(m, size)
 
-    pool = _fixed_vectors(field)
+    def gram_times(x):
+        return [sum(g * c for g, c in zip(row, x)) for row in gram]
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    # G is antisymmetric, so pairing(x, y) = dot(x, G y) = -dot(G x, y)
+    pool = [[Fraction(int(a == b)) for b in range(size)] for a in range(size)]
     pairs = []
     while pool:
         u = pool.pop(0)
-        mate = None
+        gu = gram_times(u)
         for pos, y in enumerate(pool):
-            val = pairing(u, y)
+            val = -dot(gu, y)
             if val:
-                mate = pool.pop(pos)
-                v = {a: mate[a] / val for a in idx}
+                v = [c / val for c in pool.pop(pos)]
                 break
-        if mate is None:
+        else:
             raise TheoremViolationError(
                 "the pairing restricted to the fixed vectors is degenerate"
             )
         pairs.append((u, v))
+        gv = gram_times(v)
         reduced = []
         for z in pool:
-            zv, zu = pairing(z, v), pairing(z, u)
-            reduced.append({a: z[a] - zv * u[a] + zu * v[a] for a in idx})
+            zv, zu = dot(z, gv), dot(z, gu)
+            reduced.append([p - zv * q + zu * r for p, q, r in zip(z, u, v)])
         pool = reduced
-    cached = (tuple(pairs), pairing_values)
-    pol._darboux_cache = cached
-    return cached
+
+    ys = _fixed_vectors(field)
+    zero = CyclotomicNumber.zero(M)
+
+    def embed(coeffs):
+        return {k: sum((y[k] * c for y, c in zip(ys, coeffs) if c), zero) for k in idx}
+
+    return tuple((embed(u), embed(v)) for u, v in pairs), pairing_values
 
 
 def _rank_two_entries(field, pairing_values, s, t):
@@ -214,14 +208,21 @@ def _from_gauge_entries(field, pol, entries):
     )
 
 
-def _accumulate(total, entries, scale):
-    for key, val in entries.items():
-        cur = total.get(key)
-        nxt = val * scale if cur is None else cur + val * scale
-        if nxt:
-            total[key] = nxt
-        else:
-            total.pop(key, None)
+def _chain_witness(field, pol, pairs, pairing_values):
+    """The full Jordan chain witness, and the gauge entries of its first half.
+
+    The first half is the chain v_1 -> -v_2 -> ... -> +-v_n; the square-zero
+    map of u_n closes it up through u_n -> ... -> u_1.
+    """
+    open_chain = {}
+    for a in range(field.n - 1):
+        for key, val in _rank_two_entries(field, pairing_values, pairs[a][0], pairs[a + 1][1]).items():
+            _accumulate(open_chain, key, -val)
+    total = dict(open_chain)
+    u = pairs[-1][0]
+    for key, val in _rank_two_entries(field, pairing_values, u, u).items():
+        _accumulate(total, key, val / 2)
+    return _from_gauge_entries(field, pol, total), open_chain
 
 
 def rational_nilpotent_witness(field, pol):
@@ -234,16 +235,7 @@ def rational_nilpotent_witness(field, pol):
     ingredient is fixed under the group.
     """
     pairs, pairing_values = _fixed_symplectic_pairs(field, pol)
-    n = field.n
-    total = {}
-    for a in range(n - 1):
-        _accumulate(total, _rank_two_entries(field, pairing_values, pairs[a][0], pairs[a + 1][1]), -1)
-    _accumulate(
-        total,
-        _rank_two_entries(field, pairing_values, pairs[n - 1][0], pairs[n - 1][0]),
-        Fraction(1, 2),
-    )
-    return _from_gauge_entries(field, pol, total)
+    return _chain_witness(field, pol, pairs, pairing_values)[0]
 
 
 def rational_nilpotent_examples(field, pol):
@@ -256,11 +248,9 @@ def rational_nilpotent_examples(field, pol):
         ("isotropic-vv", _from_gauge_entries(field, pol, _rank_two_entries(field, pairing_values, v1, v2))),
         ("square-zero", _from_gauge_entries(field, pol, _rank_two_entries(field, pairing_values, u1, u1))),
     ]
-    half_chain = {}
-    for a in range(field.n - 1):
-        _accumulate(half_chain, _rank_two_entries(field, pairing_values, pairs[a][0], pairs[a + 1][1]), -1)
-    out.append(("half-chain", _from_gauge_entries(field, pol, half_chain)))
-    out.append(("full-chain", rational_nilpotent_witness(field, pol)))
+    witness, open_chain = _chain_witness(field, pol, pairs, pairing_values)
+    out.append(("half-chain", _from_gauge_entries(field, pol, open_chain)))
+    out.append(("full-chain", witness))
     return out
 
 
@@ -520,7 +510,7 @@ def criterion_rigidity_sweep():
 
 
 # stated wall-clock budgets, in seconds; enforced by the test suite
-RUNTIME_BUDGETS = {1: 10, 2: 5, 3: 10, 4: 30, 5: 30, 6: 20, 7: 10, 8: 10}
+RUNTIME_BUDGETS = {1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2}
 
 
 def run_core(seed=DEFAULT_SEED, timings_out=None):

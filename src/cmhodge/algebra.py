@@ -26,11 +26,15 @@ from .errors import (
     NotNilpotentError,
     UsageError,
 )
-from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError
+from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError, _accumulate
 
 
 class PolarizationData:
-    """The signs epsilon_k with Q_k = epsilon_k * i, for every signed index."""
+    """The signs epsilon_k with Q_k = epsilon_k * i, for every signed index.
+
+    ``gauge_units`` and ``gauge_factors`` hold the equivariant gauge of the
+    Galois action (``_gauge_units``, ``_gauge_factors``), filled on first use.
+    """
 
     def __init__(self, field, epsilons):
         self.field = field
@@ -40,6 +44,8 @@ class PolarizationData:
                 raise UsageError(f"missing or bad polarization sign at index {k}")
             if self.epsilons[-k] != -self.epsilons[k]:
                 raise UsageError("polarization must be odd under conjugation")
+        self.gauge_units = None
+        self.gauge_factors = {}
 
     def q_value(self, k):
         """Q_k as an exact cyclotomic number (a fourth root of unity)."""
@@ -149,12 +155,7 @@ class AlgebraElement:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for ij, c in other.coeffs.items():
-            cur = out.get(ij)
-            nxt = c if cur is None else cur + c
-            if nxt:
-                out[ij] = nxt
-            else:
-                out.pop(ij, None)
+            _accumulate(out, ij, c)
         return AlgebraElement(self.field, self.pol, out, _raw=True)
 
     def __neg__(self):
@@ -188,25 +189,15 @@ class AlgebraElement:
     def entries(self):
         """Sparse 2n x 2n realization: {(row, col): coefficient} on signed indices."""
         out = {}
-
-        def add(a, b, c):
-            key = (a, b)
-            cur = out.get(key)
-            nxt = c if cur is None else cur + c
-            if nxt:
-                out[key] = nxt
-            else:
-                out.pop(key, None)
-
         for (i, j), c in self.coeffs.items():
             if i == j:
-                add(i, i, c)
-                add(-i, -i, -c)
+                _accumulate(out, (i, i), c)
+                _accumulate(out, (-i, -i), -c)
             elif j == -i:
-                add(i, -i, c + c)
+                _accumulate(out, (i, -i), c + c)
             else:
-                add(i, j, c)
-                add(-j, -i, c * self.pol.ratio(i, j))
+                _accumulate(out, (i, j), c)
+                _accumulate(out, (-j, -i), c * self.pol.ratio(i, j))
         return out
 
     def vector(self, coord_of):
@@ -245,12 +236,7 @@ def _fold_coeffs(field, pol, coeffs):
         canon = canonical_root_index(n, i, j)
         if canon != (i, j):
             c = c * pol.ratio(i, j)
-        cur = out.get(canon)
-        nxt = c if cur is None else cur + c
-        if nxt:
-            out[canon] = nxt
-        else:
-            out.pop(canon, None)
+        _accumulate(out, canon, c)
     return out
 
 
@@ -352,11 +338,10 @@ def _gauge_units(pol):
     zeta_m - zeta_m^{-1} and give the index with label a the pairing value
     sigma_a(zeta_m - zeta_m^{-1}).  Those values move exactly as the group
     moves labels, and d_k is the diagonal scale relating our basis to that
-    one.  Cyclotomic flavor only; cached on the polarization object.
+    one.  Cyclotomic flavor only; kept in ``pol.gauge_units``.
     """
-    cached = getattr(pol, "_gauge_cache", None)
-    if cached is not None:
-        return cached
+    if pol.gauge_units is not None:
+        return pol.gauge_units
     field = pol.field
     m = field.galois.conductor
     M = field.working_conductor
@@ -375,16 +360,13 @@ def _gauge_units(pol):
         dinv[k] = u
         d[-k] = one
         dinv[-k] = one
-    pol._gauge_cache = (d, dinv)
+    pol.gauge_units = (d, dinv)
     return d, dinv
 
 
 def _gauge_factors(field, pol, perm, exp):
-    """Per-index unit factors of the action for one group element, cached."""
-    cache = getattr(pol, "_factor_cache", None)
-    if cache is None:
-        cache = pol._factor_cache = {}
-    hit = cache.get(perm)
+    """Per-index unit factors of the action for one group element, kept in ``pol.gauge_factors``."""
+    hit = pol.gauge_factors.get(perm)
     if hit is not None:
         return hit
     d, dinv = _gauge_units(pol)
@@ -394,7 +376,7 @@ def _gauge_factors(field, pol, perm, exp):
         kk = field.act_index(perm, k)
         factor[k] = d[k].galois(exp) * dinv[kk]
         cofactor[k] = dinv[k].galois(exp) * d[kk]
-    cache[perm] = (factor, cofactor)
+    pol.gauge_factors[perm] = (factor, cofactor)
     return factor, cofactor
 
 
@@ -429,12 +411,7 @@ def galois_act_element(field, perm, v):
         canon = canonical_root_index(field.n, ii, jj)
         if canon != (ii, jj):
             cc = cc * v.pol.ratio(ii, jj)
-        cur = out.get(canon)
-        nxt = cc if cur is None else cur + cc
-        if nxt:
-            out[canon] = nxt
-        else:
-            out.pop(canon, None)
+        _accumulate(out, canon, cc)
     return AlgebraElement(field, v.pol, out, _raw=True)
 
 
@@ -467,14 +444,7 @@ def _mat_mult(p, q):
         if not hits:
             continue
         for c, y in hits:
-            key = (a, c)
-            cur = acc.get(key)
-            prod = x * y
-            nxt = prod if cur is None else cur + prod
-            if nxt:
-                acc[key] = nxt
-            else:
-                acc.pop(key, None)
+            _accumulate(acc, (a, c), x * y)
     return acc
 
 
@@ -485,12 +455,7 @@ def bracket(u, v):
     uv = _mat_mult(pu, pv)
     vu = _mat_mult(pv, pu)
     for key, x in vu.items():
-        cur = uv.get(key)
-        nxt = -x if cur is None else cur - x
-        if nxt:
-            uv[key] = nxt
-        else:
-            uv.pop(key, None)
+        _accumulate(uv, key, -x)
     return element_from_entries(u.field, u.pol, uv)
 
 
@@ -499,13 +464,7 @@ def _mat_vec(cols, vec):
     out = {}
     for b, y in vec.items():
         for a, x in cols.get(b, ()):
-            cur = out.get(a)
-            prod = x * y
-            nxt = prod if cur is None else cur + prod
-            if nxt:
-                out[a] = nxt
-            else:
-                out.pop(a, None)
+            _accumulate(out, a, x * y)
     return out
 
 

@@ -293,10 +293,16 @@ class CyclotomicNumber:
         return CyclotomicNumber._make(self.conductor, num, u.den)
 
     def __truediv__(self, other):
+        """self / other; a rational divisor only rescales, others go through ``inverse``."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        if not o.is_rational_value():
+            return self * o.inverse()
+        p, q = o.num[0], o.den
+        if p == 0:
+            raise ZeroDivisionError(f"division by zero in Q(zeta_{self.conductor})")
+        return self._scale(q, p) if p > 0 else self._scale(-q, -p)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

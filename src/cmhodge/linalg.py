@@ -59,6 +59,16 @@ def _rank_integer(rows):
     return rank
 
 
+def _accumulate(acc, key, value):
+    """acc[key] += value on a sparse dict, dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    nxt = value if cur is None else cur + value
+    if nxt:
+        acc[key] = nxt
+    else:
+        acc.pop(key, None)
+
+
 class SpanBasis:
     """Echelon basis of a span, built one vector at a time.
 
@@ -95,14 +105,9 @@ class SpanBasis:
             row = self.rows.get(pivot)
             if row is None:
                 break
-            factor = vec[pivot]
+            factor = -vec[pivot]
             for c, x in row.items():
-                cur = vec.get(c)
-                nxt = -(factor * x) if cur is None else cur - factor * x
-                if nxt:
-                    vec[c] = nxt
-                else:
-                    vec.pop(c, None)
+                _accumulate(vec, c, factor * x)
         return vec
 
 

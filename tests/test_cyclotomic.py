@@ -93,6 +93,28 @@ def test_zero_has_no_inverse():
         CyclotomicNumber.zero(7).inverse()
 
 
+@pytest.mark.parametrize("M", (7, 12, 28, 35))
+def test_rational_division_matches_multiplying_by_the_inverse(M):
+    rng = random.Random(f"rational-division:{M}")
+    for _ in range(20):
+        x = CyclotomicNumber(M, mixed_coeffs(rng, euler_phi(M), sparse=rng.random() < 0.3))
+        q = Fraction(rng.randrange(1, 31), rng.randrange(1, 13))
+        for value in (q.numerator, -q.numerator, q, -q):
+            as_cyclotomic = CyclotomicNumber.from_rational(M, value)
+            expected = x * as_cyclotomic.inverse()
+            for divisor in (value, as_cyclotomic):
+                got = x / divisor
+                assert_normal_form(got)
+                assert got == expected
+
+
+def test_rational_division_by_zero_raises():
+    x = CyclotomicNumber.root_of_unity(7, 2)
+    for zero in (0, Fraction(0), CyclotomicNumber.zero(7)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
 def test_rational_scalars_mix_in():
     x = CyclotomicNumber.root_of_unity(7, 3)
     assert x * 2 == x + x

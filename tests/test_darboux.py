@@ -1,16 +1,32 @@
-"""The Darboux descent behind the rational nilpotents, checked exactly."""
+"""The Darboux descent behind the rational nilpotents, checked exactly.
 
-import random
-from fractions import Fraction
+The closed-form descent in ``cmhodge.acceptance`` is checked against the
+route it replaced, kept here as the reference: average coordinate vectors
+over the whole group, keep the first 2n that are independent over Q(i),
+and run symplectic Gram-Schmidt on them in Q(zeta_M).
+"""
+
+import itertools
+from math import gcd
 
 import pytest
 
-from cmhodge import CyclotomicNumber, default_polarization
-from cmhodge.acceptance import _fixed_symplectic_pairs, _fixed_vectors, _q_rows
+from cmhodge import CyclotomicNumber, default_polarization, reynolds_average, root_vector
+from cmhodge.acceptance import (
+    _fixed_symplectic_pairs,
+    _fixed_vectors,
+    _gram_matrix,
+    _ramanujan_sum,
+    rational_nilpotent_witness,
+)
+from cmhodge.algebra import _gauge_units
+from cmhodge.cmfield import GaloisCMData
+from cmhodge.errors import TheoremViolationError
 from cmhodge.linalg import rank_rational
 from conftest import first_oriented
 
 LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))]
+ORACLE_LADDER = LADDER[:3] + [(15, (1, 3, 3, 1)), (16, (1, 3, 3, 1))]
 
 
 @pytest.fixture(scope="module", params=LADDER, ids=lambda case: f"m{case[0]}")
@@ -26,14 +42,11 @@ def _pairing(field, pairing_values, x, y):
     return total
 
 
-def test_pairs_form_a_darboux_basis(oriented):
-    pairs, pairing_values = _fixed_symplectic_pairs(oriented, default_polarization(oriented))
-    assert len(pairs) == oriented.n
-    for a, (ua, va) in enumerate(pairs):
-        for b, (ub, vb) in enumerate(pairs):
-            assert _pairing(oriented, pairing_values, ua, vb) == (1 if a == b else 0)
-            assert _pairing(oriented, pairing_values, ua, ub) == 0
-            assert _pairing(oriented, pairing_values, va, vb) == 0
+def _act(field, perm, x):
+    """The twisted permutation action on vectors: move labels, apply the coefficient automorphism."""
+    exp = field.coeff_exponent(perm)
+    inv = field.galois.inverse(perm)
+    return {a: x[field.act_index(inv, a)].galois(exp) for a in field.signed_indices()}
 
 
 def _fraction_rows(idx, i_unit, vectors):
@@ -44,9 +57,82 @@ def _fraction_rows(idx, i_unit, vectors):
     return rows
 
 
+def _gauge_pairing_values(field, pol):
+    """Pairing values on the coordinate vectors in the equivariant gauge, from its units."""
+    _, dinv = _gauge_units(pol)
+    i_unit = CyclotomicNumber.i_unit(field.working_conductor)
+    out = {}
+    for k in range(1, field.n + 1):
+        out[k] = dinv[k] * i_unit * pol.epsilons[k]
+        out[-k] = -out[k]
+    return out
+
+
+def _averaged_fixed_vectors(field):
+    """Reference: group averages of zeta_m^a e_k, kept while independent over Q(i)."""
+    galois = field.galois
+    M = field.working_conductor
+    idx = field.signed_indices()
+    zero = CyclotomicNumber.zero(M)
+    i_unit = CyclotomicNumber.i_unit(M)
+    zeta = CyclotomicNumber.root_of_unity(M, M // galois.conductor)
+    group = galois.enumerate_group()
+    basis = []
+    for k, a in itertools.product(idx, range(galois.conductor)):
+        seed = {b: zero for b in idx}
+        seed[k] = zeta**a
+        y = {b: zero for b in idx}
+        for g in group:
+            moved = _act(field, g, seed)
+            y = {b: y[b] + moved[b] for b in idx}
+        if all(not y[b] for b in idx):
+            continue
+        if rank_rational(_fraction_rows(idx, i_unit, basis + [y])) > 2 * len(basis):
+            basis.append(y)
+        if len(basis) == 2 * field.n:
+            return basis
+    raise AssertionError("the averages span fewer than 2n dimensions")
+
+
+def _reference_pairs(field, pol, averages):
+    """Reference: symplectic Gram-Schmidt on the averaged vectors, in Q(zeta_M)."""
+    idx = field.signed_indices()
+    pairing_values = _gauge_pairing_values(field, pol)
+    pool = list(averages)
+    pairs = []
+    while pool:
+        u = pool.pop(0)
+        for pos, y in enumerate(pool):
+            val = _pairing(field, pairing_values, u, y)
+            if val:
+                mate = pool.pop(pos)
+                v = {a: mate[a] / val for a in idx}
+                break
+        else:
+            raise AssertionError("the pairing is degenerate on the averages")
+        pairs.append((u, v))
+        reduced = []
+        for z in pool:
+            zv = _pairing(field, pairing_values, z, v)
+            zu = _pairing(field, pairing_values, z, u)
+            reduced.append({a: z[a] - zv * u[a] + zu * v[a] for a in idx})
+        pool = reduced
+    return tuple(pairs), pairing_values
+
+
+def test_pairs_form_a_darboux_basis(oriented):
+    pairs, pairing_values = _fixed_symplectic_pairs(oriented, default_polarization(oriented))
+    assert len(pairs) == oriented.n
+    for a, (ua, va) in enumerate(pairs):
+        for b, (ub, vb) in enumerate(pairs):
+            assert _pairing(oriented, pairing_values, ua, vb) == (1 if a == b else 0)
+            assert _pairing(oriented, pairing_values, ua, ub) == 0
+            assert _pairing(oriented, pairing_values, va, vb) == 0
+
+
 def test_fixed_vectors_have_full_fraction_rank(oriented):
-    # the descent makes one rank call per candidate because accepted vectors
-    # are independent over Q(i); here the rows come from Fraction coordinates
+    # the Vandermonde argument of _fixed_vectors, checked by elimination on
+    # the Fraction coordinates of the vectors and their multiples by i
     idx = oriented.signed_indices()
     i_unit = CyclotomicNumber.i_unit(oriented.working_conductor)
     basis = _fixed_vectors(oriented)
@@ -54,25 +140,81 @@ def test_fixed_vectors_have_full_fraction_rank(oriented):
     assert rank_rational(_fraction_rows(idx, i_unit, basis)) == 2 * len(basis)
 
 
-def test_int_q_rows_match_fraction_rows():
-    M = 20
-    idx = (1, 2, 3, -1, -2, -3)
-    i_unit = CyclotomicNumber.i_unit(M)
-    rng = random.Random("q-rows")
+@pytest.mark.parametrize("m,hodge", ORACLE_LADDER, ids=[f"m{m}" for m, _ in ORACLE_LADDER])
+def test_pairs_equal_the_averaging_oracle(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    averages = _averaged_fixed_vectors(field)
+    assert _fixed_vectors(field) == averages
+    expected = _reference_pairs(field, default_polarization(field), averages)
+    assert _fixed_symplectic_pairs(field, default_polarization(field)) == expected
 
-    def scalar():
-        return CyclotomicNumber(
-            M, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 9)) for _ in range(8)]
+
+def test_fixed_vectors_are_fixed_by_the_generators_and_conjugation(oriented):
+    galois = oriented.galois
+    for y in _fixed_vectors(oriented):
+        for g in galois.generators + (galois.conjugation,):
+            assert _act(oriented, g, y) == y
+
+
+def test_gram_matrix_is_the_pairing_of_the_fixed_vectors(oriented):
+    pairing_values = _gauge_pairing_values(oriented, default_polarization(oriented))
+    ys = _fixed_vectors(oriented)
+    gram = _gram_matrix(oriented.galois.conductor, len(ys))
+    for (a, ya), (b, yb) in itertools.product(enumerate(ys), repeat=2):
+        assert _pairing(oriented, pairing_values, ya, yb) == gram[a][b]
+
+
+def test_closed_form_pairing_values_match_the_gauge(oriented):
+    pol = default_polarization(oriented)
+    _, pairing_values = _fixed_symplectic_pairs(oriented, pol)
+    assert pairing_values == _gauge_pairing_values(oriented, pol)
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 23, 24, 25, 36, 60))
+def test_ramanujan_sum_is_the_trace_of_a_root_of_unity(m):
+    units = [lab for lab in range(1, m) if gcd(lab, m) == 1]
+    for e in range(-2 * m, 2 * m + 1):
+        trace = sum(
+            (CyclotomicNumber.root_of_unity(m, lab * e) for lab in units),
+            CyclotomicNumber.zero(m),
         )
+        assert trace == _ramanujan_sum(m, e)
 
-    for _ in range(20):
-        free = [{a: scalar() for a in idx} for _ in range(rng.randrange(1, 4))]
-        p = CyclotomicNumber.from_rational(M, Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)))
-        q = CyclotomicNumber.from_rational(M, Fraction(rng.randrange(1, 5), rng.randrange(1, 5)))
-        # a Q(i)-combination of the free vectors adds no rank
-        combo = {a: (p + q * i_unit) * free[0][a] + q * free[-1][a] for a in idx}
-        vectors = free + [combo]
-        int_rows = [row for x in vectors for row in _q_rows(idx, i_unit, x)]
-        assert all(isinstance(v, int) for row in int_rows for v in row)
-        expected = rank_rational(_fraction_rows(idx, i_unit, vectors))
-        assert rank_rational(int_rows) == expected == 2 * len(free)
+
+def test_degenerate_gram_matrix_raises_a_theorem_violation(monkeypatch):
+    field = first_oriented(7, 3, (1, 2, 2, 1))
+    monkeypatch.setattr(
+        "cmhodge.acceptance._gram_matrix", lambda m, size: [[0] * size for _ in range(size)]
+    )
+    with pytest.raises(TheoremViolationError, match="degenerate"):
+        _fixed_symplectic_pairs(field, default_polarization(field))
+
+
+def test_witness_makes_no_rank_call_and_no_group_enumeration(monkeypatch):
+    field = first_oriented(11, 3, (2, 3, 3, 2))
+    pol = default_polarization(field)
+    calls = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return refuse
+
+    monkeypatch.setattr("cmhodge.linalg.rank_rational", spy("rank_rational"))
+    monkeypatch.setattr("cmhodge.acceptance.rank_rational", spy("rank_rational"))
+    monkeypatch.setattr(GaloisCMData, "enumerate_group", spy("enumerate_group"))
+    witness = rational_nilpotent_witness(field, pol)
+    assert calls == []
+    assert not witness.is_zero()
+
+
+def test_polarization_state_is_declared_up_front():
+    field = first_oriented(7, 3, (1, 2, 2, 1))
+    pol = default_polarization(field)
+    before = set(vars(pol))
+    rational_nilpotent_witness(field, pol)
+    reynolds_average(field, root_vector(field, pol, 1, 2))
+    assert set(vars(pol)) == before
+    assert pol.gauge_units is not None and pol.gauge_factors
