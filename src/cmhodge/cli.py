@@ -11,9 +11,11 @@ keys, deterministic orderings throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .acceptance import DEFAULT_SEED, SCHEMA_VERSION, rational_nilpotent_witness, run_all
 from .algebra import (
@@ -94,8 +96,72 @@ def _parse_hodge(text):
         raise UsageError(f"--hodge wants a comma list of integers, got {text!r}")
 
 
+# The JSON kinds _json_text writes; a subclass is mapped to one by _json_kind.
+_JSON_KINDS = frozenset({str, int, bool, type(None), list, tuple, dict})
+
+
+def _json_kind(obj):
+    """The kind json's encoder treats ``obj`` as, tested in json's own order."""
+    if isinstance(obj, str):
+        return str
+    if obj is None:
+        return type(None)
+    if obj is True or obj is False:
+        return bool
+    if isinstance(obj, int):
+        return int
+    if isinstance(obj, (list, tuple)):
+        return list
+    if isinstance(obj, dict):
+        return dict
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key):
+    """A dict key as json stringifies it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is True or key is False or key is None:
+        return '"' + _json_text(key) + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, indent="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, on cmhodge's JSON subset.
+
+    The subset is dict, list, tuple, str, int, bool and None; anything else
+    raises ``TypeError`` as json does.  With ``indent`` set, json never
+    reaches its C encoder; this writer does the same work with one string
+    join per container, so no chunk list of the whole document is built.
+    Dict items are sorted by their original keys, then the keys are
+    stringified, as json does.
+    """
+    kind = type(obj)
+    if kind not in _JSON_KINDS:
+        kind = _json_kind(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:
+        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    # int items inline: the [p, q] pairs of an orientation listing are most of the calls
+    items = [int.__repr__(value) if type(value) is int else _json_text(value, inner) for value in obj]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     sys.stdout.write(text)
     out_path = getattr(args, "output", None)
     if out_path:
@@ -326,9 +392,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.fn(args)
     except TheoremViolationError as exc:

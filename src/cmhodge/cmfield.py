@@ -14,8 +14,7 @@ downstream (grading vectors, root indices, support graphs).
 
 from __future__ import annotations
 
-import itertools
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .cyclotomic import euler_phi
 from .errors import (
@@ -26,6 +25,9 @@ from .errors import (
 )
 
 GROUP_ENUMERATION_CAP = 10_000
+# Listing costs about 6 KB of memory per orientation at n = 8 pairs; the
+# sweep benchmark lists 7168.
+ORIENTATION_ENUMERATION_CAP = 50_000
 
 
 def basis_pos(n, k):
@@ -443,6 +445,23 @@ def validate_orientation(galois, orientation):
     return OrientedCMField(galois, orientation, _token=_BUILD_TOKEN)
 
 
+def orientation_count(hodge_numbers):
+    """Number of orientations with these (valid) Hodge numbers, in closed form.
+
+    With weight w = len(hodge_numbers) - 1 and n = sum / 2 pairs, a pair whose
+    first member takes class (w - t, t) uses one unit of the budget h_c,
+    c = min(t, w - t); the budgets of c = 0..(w-1)/2 sum to n.  So the count
+    is the multinomial n! / prod_c h_c! over the budgets, times 2^n for the
+    side each pair puts first.
+    """
+    half = hodge_numbers[: len(hodge_numbers) // 2]
+    n = sum(half)
+    count = factorial(n)
+    for h in half:
+        count //= factorial(h)
+    return count << n
+
+
 def enumerate_orientations(galois, weight, hodge_numbers):
     """All orientations with the given Hodge numbers, in lexicographic order.
 
@@ -451,6 +470,13 @@ def enumerate_orientations(galois, weight, hodge_numbers):
     pair independently picks an ordered bidegree class for its first member,
     so the output order is the lexicographic order of those picks with
     classes sorted by descending p.
+
+    The picks are built depth first, pair by pair with t = 0..weight, and a
+    pick is skipped once its class c = min(t, weight - t) has used up its
+    budget h_c.  The budgets sum to the number of pairs, so every partial
+    pick extends to an orientation.  More than ORIENTATION_ENUMERATION_CAP
+    orientations (by the closed-form count) raise EnumerationCapError
+    before any is built.
     """
     _check_odd_weight(weight)
     h = list(hodge_numbers)
@@ -467,15 +493,14 @@ def enumerate_orientations(galois, weight, hodge_numbers):
             f"Hodge numbers sum to {sum(h)}, but the field has {len(galois.labels)} embeddings"
         )
     n, index_to_label = _pair_table(galois)
+    count = orientation_count(h)
+    if count > ORIENTATION_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{count} orientations exceed the enumeration cap of {ORIENTATION_ENUMERATION_CAP}"
+        )
     classes = [(weight - t, t) for t in range(weight + 1)]
     out = []
-    for combo in itertools.product(range(weight + 1), repeat=n):
-        counts = [0] * (weight + 1)
-        for t in combo:
-            counts[t] += 1
-            counts[weight - t] += 1
-        if counts != h:
-            continue
+    for combo in _budgeted_picks(n, weight, h[: (weight + 1) // 2]):
         assignment = {}
         for k, t in enumerate(combo, start=1):
             p, q = classes[t]
@@ -483,6 +508,23 @@ def enumerate_orientations(galois, weight, hodge_numbers):
             assignment[index_to_label[-k]] = (q, p)
         out.append(Orientation(weight, assignment))
     return out
+
+
+def _budgeted_picks(n, weight, budget, picks=()):
+    """Each way for n pairs to pick t = 0..weight, at most budget[c] picks of class c = min(t, weight - t).
+
+    Yields tuples in lexicographic order, the order of itertools.product.
+    ``budget`` is used up while a pick is extended and restored after.
+    """
+    if len(picks) == n:
+        yield picks
+        return
+    for t in range(weight + 1):
+        c = min(t, weight - t)
+        if budget[c]:
+            budget[c] -= 1
+            yield from _budgeted_picks(n, weight, budget, picks + (t,))
+            budget[c] += 1
 
 
 class GradingVector:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +16,7 @@ from cmhodge import (
     validate_orientation,
     zero_element,
 )
+from cmhodge import cli
 from cmhodge.acceptance import rational_nilpotent_witness
 from cmhodge.cli import main
 from conftest import abstract_z6
@@ -24,6 +29,26 @@ ORIENTATION_7 = json.dumps(
         }
     }
 )
+
+
+@pytest.fixture(autouse=True)
+def documents_match_json_dumps(monkeypatch):
+    """Every document of these tests, and its --output copy, is json.dumps(indent=2, sort_keys=True)."""
+    emit = cli._emit
+
+    def checked(payload, args):
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            emit(payload, args)
+        assert buf.getvalue() == expected
+        if args.output:
+            path = os.path.join(os.environ.get("CMHODGE_OUTPUT_DIR", ""), args.output)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == expected
+        sys.stdout.write(buf.getvalue())
+
+    monkeypatch.setattr(cli, "_emit", checked)
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +83,19 @@ def test_orient_enumerate_count(capsys):
     assert doc["result"]["hodge_numbers"] == [1, 2, 2, 1]
     first = doc["result"]["orientations"][0]
     assert first["assignment"]["1"] == [3, 0]
+
+
+def test_orient_enumerate_past_the_cap_exits_3_at_once(capsys):
+    # 1001 * 2^14 = 16400384 orientations: refused from the closed-form count
+    start = time.perf_counter()
+    code, doc = run_cli(
+        capsys, "orient", "enumerate", "--conductor", "29",
+        "--weight", "3", "--hodge", "4,10,10,4",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert doc["error"]["reason"] == "enumeration-cap-exceeded"
+    assert doc["error"]["message"].startswith("16400384 orientations exceed")
 
 
 def test_grading_command(capsys):
@@ -375,6 +413,41 @@ def test_output_file_honors_env_dir(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert (tmp_path / "report.json").read_text() == out
+
+
+def test_error_document_output_copy(capsys, tmp_path):
+    path = tmp_path / "error.json"
+    code = main(["--output", str(path), "field", "--conductor", "10"])
+    assert code == 3
+    assert path.read_text() == capsys.readouterr().out
+
+
+def test_one_parser_serves_interleaved_calls(capsys, monkeypatch, witness_file):
+    calls = [
+        ["closure", "--element", witness_file],
+        ["closure", "--element", witness_file, "--element", witness_file],
+        ["nondeg", "--conductor", "7"],  # argparse: --orientation is required
+        ["field", "--conductor", "10"],  # domain error
+        ["nondeg", "--conductor", "7", "--weight", "3", "--orientation", ORIENTATION_7],
+        ["closure", "--element", witness_file],  # the append list starts empty again
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    assert cli._parser() is cli._parser()
+    reused = [run(argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    fresh = [run(argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, "exit 2", 3, 0, 0]
+    seeds = [json.loads(reused[k][1])["result"]["seeds"] for k in (0, 1, 5)]
+    assert seeds == [1, 2, 1]
 
 
 def test_module_invocation_is_byte_deterministic():

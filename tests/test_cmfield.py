@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cmhodge import (
@@ -18,6 +20,7 @@ from cmhodge import (
     oriented_to_json,
     validate_orientation,
 )
+from cmhodge import cmfield
 from conftest import abstract_z6, first_oriented
 
 CANONICAL_7 = {1: (3, 0), 2: (2, 1), 3: (2, 1), 4: (1, 2), 5: (1, 2), 6: (0, 3)}
@@ -108,6 +111,77 @@ def test_enumerate_orientations_counts():
     galois = build_cyclotomic_cm(7)
     assert len(enumerate_orientations(galois, 3, (1, 2, 2, 1))) == 24
     assert len(enumerate_orientations(galois, 3, (3, 0, 0, 3))) == 8
+
+
+def _filtered_orientations(galois, weight, hodge_numbers):
+    """The filter route: every pick in itertools.product, kept when its class counts are h.
+
+    The reference for the depth-first construction in enumerate_orientations.
+    """
+    h = list(hodge_numbers)
+    n, index_to_label = cmfield._pair_table(galois)
+    classes = [(weight - t, t) for t in range(weight + 1)]
+    out = []
+    for combo in itertools.product(range(weight + 1), repeat=n):
+        counts = [0] * (weight + 1)
+        for t in combo:
+            counts[t] += 1
+            counts[weight - t] += 1
+        if counts != h:
+            continue
+        assignment = {}
+        for k, t in enumerate(combo, start=1):
+            p, q = classes[t]
+            assignment[index_to_label[k]] = (p, q)
+            assignment[index_to_label[-k]] = (q, p)
+        out.append(Orientation(weight, assignment))
+    return out
+
+
+def _hodge_vectors(n, weight):
+    """Every symmetric Hodge vector of n pairs at this weight, zero entries included."""
+    half = (weight + 1) // 2
+    for cut in itertools.combinations(range(n + half - 1), half - 1):
+        bounds = (-1,) + cut + (n + half - 1,)
+        h = [bounds[i + 1] - bounds[i] - 1 for i in range(half)]
+        yield tuple(h + h[::-1])
+
+
+@pytest.mark.parametrize("weight", [1, 3, 5])
+@pytest.mark.parametrize("m", [5, 7, 8, 9, 12, 13, "z6"])
+def test_construction_matches_the_filter_route(m, weight):
+    galois = abstract_z6() if m == "z6" else build_cyclotomic_cm(m)
+    n = len(galois.labels) // 2
+    hodges = list(_hodge_vectors(n, weight))
+    if n == 6 and weight == 5:
+        # 28 vectors at 6^6 filtered products each: four, zero entries included
+        hodges = [(1, 1, 4, 4, 1, 1), (2, 2, 2, 2, 2, 2), (0, 0, 6, 6, 0, 0), (3, 0, 3, 3, 0, 3)]
+    for hodge in hodges:
+        built = enumerate_orientations(galois, weight, hodge)
+        filtered = _filtered_orientations(galois, weight, hodge)
+        assert built == filtered
+        # equal dicts in equal order: the label order of each assignment too
+        assert [list(o.assignment) for o in built] == [list(o.assignment) for o in filtered]
+        assert len(built) == cmfield.orientation_count(hodge)
+
+
+def test_orientation_cap_applies_to_the_closed_form_count(monkeypatch):
+    galois = build_cyclotomic_cm(7)  # 24 orientations with Hodge numbers 1,2,2,1
+    monkeypatch.setattr(cmfield, "ORIENTATION_ENUMERATION_CAP", 24)
+    assert len(enumerate_orientations(galois, 3, (1, 2, 2, 1))) == 24
+    monkeypatch.setattr(cmfield, "ORIENTATION_ENUMERATION_CAP", 23)
+    with pytest.raises(EnumerationCapError) as err:
+        enumerate_orientations(galois, 3, (1, 2, 2, 1))
+    assert err.value.reason == "enumeration-cap-exceeded"
+    assert "24 orientations" in str(err.value)
+    # the Hodge numbers are checked before the count
+    with pytest.raises(UsageError):
+        enumerate_orientations(galois, 3, (2, 2, 2, 2))
+
+
+def test_orientation_cap_sits_well_above_the_sweep_benchmark():
+    assert cmfield.orientation_count((2, 6, 6, 2)) == 7168
+    assert cmfield.ORIENTATION_ENUMERATION_CAP >= 5 * 7168
 
 
 def test_first_orientation_is_the_canonical_example():
