@@ -9,13 +9,11 @@ floating-point number.
 
 from .algebra import (
     AlgebraElement,
-    PolarizationData,
     all_root_indices,
     bidegree,
     bracket,
     canonical_root_index,
     cartan_elements,
-    default_polarization,
     element_from_coeffs,
     element_from_entries,
     element_from_json,
@@ -61,9 +59,7 @@ from .graphs import (
     BlockVerdict,
     Partition,
     SupportGraph,
-    conjugate_merge_divisibility,
     is_block_system,
-    merged_graph,
     support_graph,
     trivial_partition_check,
 )

@@ -29,13 +29,10 @@ from .algebra import (
     _gauge_units,
     all_root_indices,
     bracket,
-    cartan_elements,
-    default_polarization,
     element_from_coeffs,
     element_from_entries,
     generated_subalgebra,
     is_rational,
-    nilpotency_degree,
     reynolds_average,
     root_vector,
 )
@@ -49,7 +46,6 @@ from .verifiers import (
     circulant_matrix,
     circulant_rank,
     escape_verdict,
-    nondegeneracy_verdict,
     orbit_rank,
     ribet_dichotomy,
     rigidity_verdict,
@@ -114,7 +110,7 @@ def _gram_matrix(m, size):
     return [[toeplitz[a - b] for b in range(size)] for a in range(size)]
 
 
-def _fixed_symplectic_pairs(field, pol):
+def _fixed_symplectic_pairs(field):
     """Darboux basis of the fixed vectors of the twisted permutation action.
 
     In the equivariant gauge (``algebra._gauge_units``) the pairing value at
@@ -201,14 +197,14 @@ def _rank_two_entries(field, pairing_values, s, t):
     return entries
 
 
-def _from_gauge_entries(field, pol, entries):
-    d, dinv = _gauge_units(pol)
+def _from_gauge_entries(field, entries):
+    d, dinv = _gauge_units(field)
     return element_from_entries(
-        field, pol, {(a, b): dinv[a] * val * d[b] for (a, b), val in entries.items()}
+        field, {(a, b): dinv[a] * val * d[b] for (a, b), val in entries.items()}
     )
 
 
-def _chain_witness(field, pol, pairs, pairing_values):
+def _chain_witness(field, pairs, pairing_values):
     """The full Jordan chain witness, and the gauge entries of its first half.
 
     The first half is the chain v_1 -> -v_2 -> ... -> +-v_n; the square-zero
@@ -222,10 +218,10 @@ def _chain_witness(field, pol, pairs, pairing_values):
     u = pairs[-1][0]
     for key, val in _rank_two_entries(field, pairing_values, u, u).items():
         _accumulate(total, key, val / 2)
-    return _from_gauge_entries(field, pol, total), open_chain
+    return _from_gauge_entries(field, total), open_chain
 
 
-def rational_nilpotent_witness(field, pol):
+def rational_nilpotent_witness(field):
     """A rational nilpotent of degree 2n with fully connected support.
 
     Built as a single Jordan chain through a Darboux basis of the fixed
@@ -234,22 +230,22 @@ def rational_nilpotent_witness(field, pol):
     support cannot split.  Deterministic, and rational because every
     ingredient is fixed under the group.
     """
-    pairs, pairing_values = _fixed_symplectic_pairs(field, pol)
-    return _chain_witness(field, pol, pairs, pairing_values)[0]
+    pairs, pairing_values = _fixed_symplectic_pairs(field)
+    return _chain_witness(field, pairs, pairing_values)[0]
 
 
-def rational_nilpotent_examples(field, pol):
+def rational_nilpotent_examples(field):
     """Named rational nilpotents of degrees 2, n and 2n for property sweeps."""
-    pairs, pairing_values = _fixed_symplectic_pairs(field, pol)
+    pairs, pairing_values = _fixed_symplectic_pairs(field)
     (u1, v1), (u2, v2) = pairs[0], pairs[1]
     out = [
-        ("isotropic-uu", _from_gauge_entries(field, pol, _rank_two_entries(field, pairing_values, u1, u2))),
-        ("isotropic-uv", _from_gauge_entries(field, pol, _rank_two_entries(field, pairing_values, u1, v2))),
-        ("isotropic-vv", _from_gauge_entries(field, pol, _rank_two_entries(field, pairing_values, v1, v2))),
-        ("square-zero", _from_gauge_entries(field, pol, _rank_two_entries(field, pairing_values, u1, u1))),
+        ("isotropic-uu", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, u1, u2))),
+        ("isotropic-uv", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, u1, v2))),
+        ("isotropic-vv", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, v1, v2))),
+        ("square-zero", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, u1, u1))),
     ]
-    witness, open_chain = _chain_witness(field, pol, pairs, pairing_values)
-    out.append(("half-chain", _from_gauge_entries(field, pol, open_chain)))
+    witness, open_chain = _chain_witness(field, pairs, pairing_values)
+    out.append(("half-chain", _from_gauge_entries(field, open_chain)))
     out.append(("full-chain", witness))
     return out
 
@@ -354,7 +350,6 @@ def criterion_block_systems(rng):
     failures = 0
     for m, hodge in ((7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2))):
         field = _first_oriented(m, 3, hodge)
-        pol = default_polarization(field)
         M = field.working_conductor
         classes = all_root_indices(field.n)
         zero_averages = 0
@@ -366,7 +361,7 @@ def criterion_block_systems(rng):
                 ij: CyclotomicNumber.root_of_unity(M, rng.randrange(M))
                 for ij in support
             }
-            averaged = reynolds_average(field, element_from_coeffs(field, pol, coeffs))
+            averaged = reynolds_average(field, element_from_coeffs(field, coeffs))
             if averaged.is_zero():
                 zero_averages += 1
             _, partition = support_graph(averaged)
@@ -395,8 +390,7 @@ def criterion_component_bounds():
     ok = True
     for m, hodge in ((7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2))):
         field = _first_oriented(m, 3, hodge)
-        pol = default_polarization(field)
-        for name, elt in rational_nilpotent_examples(field, pol):
+        for name, elt in rational_nilpotent_examples(field):
             report = trivial_partition_check(elt)  # raises on any bound breach
             rows.append(
                 {
@@ -422,18 +416,17 @@ def criterion_bracket_lemma():
     results = []
     for m, hodge, expected_dim in ((7, (1, 2, 2, 1), 21), (16, (1, 3, 3, 1), 36)):
         field = _first_oriented(m, 3, hodge)
-        pol = default_polarization(field)
         idx = field.signed_indices()
         checked = 0
         deviations = []
         for l, k, mm in itertools.permutations(idx, 3):
             if len({abs(l), abs(k), abs(mm)}) != 3:
                 continue
-            left = bracket(root_vector(field, pol, l, k), root_vector(field, pol, k, mm))
-            if left != root_vector(field, pol, l, mm):
+            left = bracket(root_vector(field, l, k), root_vector(field, k, mm))
+            if left != root_vector(field, l, mm):
                 deviations.append([l, k, mm])
             checked += 1
-        seeds = [root_vector(field, pol, i, j) for i, j in all_root_indices(field.n)]
+        seeds = [root_vector(field, i, j) for i, j in all_root_indices(field.n)]
         dim, _ = generated_subalgebra(seeds)
         results.append(
             {
@@ -451,9 +444,8 @@ def criterion_bracket_lemma():
 def criterion_escape():
     """7: a deep rational nilpotent forces the full 21-dimensional closure."""
     field = _first_oriented(7, 3, (1, 2, 2, 1))
-    pol = default_polarization(field)
-    witness = rational_nilpotent_witness(field, pol)
-    verdict = escape_verdict(field, pol, witness)
+    witness = rational_nilpotent_witness(field)
+    verdict = escape_verdict(field, witness)
     passed = (
         verdict["applicable"]
         and verdict["nilpotency_degree"] >= 4

@@ -8,7 +8,8 @@ imaginary value Q_k, and the algebra is spanned by the vectors
     X_{i,j} = E_{i,j} + (Q_i / -Q_j) E_{-j,-i}
 
 where E_{a,b} is the elementary endomorphism sending w_b to w_a.  The sign
-convention i^(p-q) Q > 0 makes every ratio Q_i / -Q_j equal +1 or -1, so
+convention i^(p-q) Q > 0 (``OrientedCMField.epsilons``, fixed by the
+orientation) makes every ratio Q_i / -Q_j equal +1 or -1, so
 all structure constants are rational.  X_{i,j} and X_{-j,-i} name the same
 line; coefficients are always stored on the representative whose index
 pair comes first in basis order.
@@ -29,51 +30,14 @@ from .errors import (
 from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError, _accumulate
 
 
-class PolarizationData:
-    """The signs epsilon_k with Q_k = epsilon_k * i, for every signed index.
+def _ratio(field, i, j):
+    """Q_i / -Q_j, always +1 or -1.
 
-    ``gauge_units`` and ``gauge_factors`` hold the equivariant gauge of the
-    Galois action (``_gauge_units``, ``_gauge_factors``), filled on first use.
+    Private on purpose: it runs once per coefficient, and perfbench's tracer
+    wraps every public function of this module.
     """
-
-    def __init__(self, field, epsilons):
-        self.field = field
-        self.epsilons = dict(epsilons)
-        for k in field.signed_indices():
-            if self.epsilons.get(k) not in (1, -1):
-                raise UsageError(f"missing or bad polarization sign at index {k}")
-            if self.epsilons[-k] != -self.epsilons[k]:
-                raise UsageError("polarization must be odd under conjugation")
-        self.gauge_units = None
-        self.gauge_factors = {}
-
-    def q_value(self, k):
-        """Q_k as an exact cyclotomic number (a fourth root of unity)."""
-        i = CyclotomicNumber.i_unit(self.field.working_conductor)
-        return i * self.epsilons[k]
-
-    def ratio(self, i, j):
-        """Q_i / -Q_j, always +1 or -1."""
-        return -self.epsilons[i] * self.epsilons[j]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolarizationData):
-            return NotImplemented
-        return self.field == other.field and self.epsilons == other.epsilons
-
-
-def default_polarization(field):
-    """Polarization signs from the positivity convention i^(p-q) Q_k > 0.
-
-    For bidegree (p, q) this gives epsilon = (-1)^((p - q + 1) / 2); the
-    exponent is an integer because the weight is odd, and conjugate indices
-    automatically receive opposite signs.
-    """
-    eps = {}
-    for k in field.signed_indices():
-        d = field.grading_value(k)
-        eps[k] = -1 if ((d + 1) // 2) % 2 else 1
-    return PolarizationData(field, eps)
+    eps = field.epsilons
+    return -eps[i] * eps[j]
 
 
 def canonical_root_index(n, i, j):
@@ -106,13 +70,12 @@ def bidegree(field, i, j):
 class AlgebraElement:
     """A finite sum of coefficients against the X basis, canonically indexed."""
 
-    def __init__(self, field, pol, coeffs, _raw=False):
+    def __init__(self, field, coeffs, _raw=False):
         self.field = field
-        self.pol = pol
         if _raw:
             self.coeffs = coeffs
         else:
-            self.coeffs = _fold_coeffs(field, pol, coeffs)
+            self.coeffs = _fold_coeffs(field, coeffs)
 
     # -- basic structure ------------------------------------------------
 
@@ -134,20 +97,16 @@ class AlgebraElement:
             return CyclotomicNumber.zero(self.field.working_conductor)
         if canon == (i, j):
             return c
-        return c * self.pol.ratio(*canon)
+        return c * _ratio(self.field, *canon)
 
     def _check_compatible(self, other):
-        if self.field != other.field or self.pol != other.pol:
+        if self.field != other.field:
             raise UsageError("elements live over different oriented fields")
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.pol == other.pol
-            and self.coeffs == other.coeffs
-        )
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -156,12 +115,10 @@ class AlgebraElement:
         out = dict(self.coeffs)
         for ij, c in other.coeffs.items():
             _accumulate(out, ij, c)
-        return AlgebraElement(self.field, self.pol, out, _raw=True)
+        return AlgebraElement(self.field, out, _raw=True)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.field, self.pol, {ij: -c for ij, c in self.coeffs.items()}, _raw=True
-        )
+        return AlgebraElement(self.field, {ij: -c for ij, c in self.coeffs.items()}, _raw=True)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -174,12 +131,9 @@ class AlgebraElement:
         if not isinstance(scalar, CyclotomicNumber):
             return NotImplemented
         if not scalar:
-            return AlgebraElement(self.field, self.pol, {}, _raw=True)
+            return AlgebraElement(self.field, {}, _raw=True)
         return AlgebraElement(
-            self.field,
-            self.pol,
-            {ij: c * scalar for ij, c in self.coeffs.items()},
-            _raw=True,
+            self.field, {ij: c * scalar for ij, c in self.coeffs.items()}, _raw=True
         )
 
     __rmul__ = __mul__
@@ -197,7 +151,7 @@ class AlgebraElement:
                 _accumulate(out, (i, -i), c + c)
             else:
                 _accumulate(out, (i, j), c)
-                _accumulate(out, (-j, -i), c * self.pol.ratio(i, j))
+                _accumulate(out, (-j, -i), c * _ratio(self.field, i, j))
         return out
 
     def vector(self, coord_of):
@@ -219,7 +173,7 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.field.n}, support={self.support()})"
 
 
-def _fold_coeffs(field, pol, coeffs):
+def _fold_coeffs(field, coeffs):
     n = field.n
     M = field.working_conductor
     out = {}
@@ -235,31 +189,31 @@ def _fold_coeffs(field, pol, coeffs):
             )
         canon = canonical_root_index(n, i, j)
         if canon != (i, j):
-            c = c * pol.ratio(i, j)
+            c = c * _ratio(field, i, j)
         _accumulate(out, canon, c)
     return out
 
 
-def element_from_coeffs(field, pol, coeffs):
+def element_from_coeffs(field, coeffs):
     """Build an element from {(i, j): coefficient}; indices fold automatically."""
-    return AlgebraElement(field, pol, coeffs)
+    return AlgebraElement(field, coeffs)
 
 
-def zero_element(field, pol):
-    return AlgebraElement(field, pol, {}, _raw=True)
+def zero_element(field):
+    return AlgebraElement(field, {}, _raw=True)
 
 
-def root_vector(field, pol, i, j):
+def root_vector(field, i, j):
     """The basis vector X_{i,j} (as a stored canonical representative)."""
-    return element_from_coeffs(field, pol, {(i, j): 1})
+    return element_from_coeffs(field, {(i, j): 1})
 
 
-def cartan_elements(field, pol):
+def cartan_elements(field):
     """The n diagonal basis vectors X_{k,k} = E_{k,k} - E_{-k,-k}."""
-    return [root_vector(field, pol, k, k) for k in range(1, field.n + 1)]
+    return [root_vector(field, k, k) for k in range(1, field.n + 1)]
 
 
-def element_from_entries(field, pol, entries):
+def element_from_entries(field, entries):
     """Rebuild an element from its sparse realization, checking membership.
 
     The symplectic condition forces entry(-j, -i) = ratio(i, j) * entry(i, j)
@@ -292,7 +246,7 @@ def element_from_entries(field, pol, entries):
             seen.add((a, b))
             seen.add(partner)
             mate = entries.get(partner, CyclotomicNumber.zero(field.working_conductor))
-            if mate != c * pol.ratio(a, b):
+            if mate != c * _ratio(field, a, b):
                 raise DomainError(
                     f"entries at {(a, b)} and {partner} break the symplectic pairing",
                     reason="not-in-algebra",
@@ -303,7 +257,7 @@ def element_from_entries(field, pol, entries):
             else:
                 coeffs[canon] = mate
     coeffs = {ij: c for ij, c in coeffs.items() if c}
-    return AlgebraElement(field, pol, coeffs, _raw=True)
+    return AlgebraElement(field, coeffs, _raw=True)
 
 
 def element_from_json(obj):
@@ -314,7 +268,6 @@ def element_from_json(obj):
     if not isinstance(obj["terms"], list):
         raise UsageError("element JSON 'terms' must be a list", reason="bad-element")
     field = oriented_from_json(obj["field"])
-    pol = default_polarization(field)
     coeffs = {}
     for term in obj["terms"]:
         if not isinstance(term, dict) or not {"i", "j", "coeff"} <= term.keys():
@@ -323,13 +276,13 @@ def element_from_json(obj):
             )
         c = CyclotomicNumber.from_json(term["coeff"])
         coeffs[(term["i"], term["j"])] = c
-    return element_from_coeffs(field, pol, coeffs)
+    return element_from_coeffs(field, coeffs)
 
 
 # -- Galois action ------------------------------------------------------
 
 
-def _gauge_units(pol):
+def _gauge_units(field):
     """Diagonal change of scale d_k making the group act by bare substitution.
 
     The fixed choice Q_k = epsilon_k * i is not constant along group orbits,
@@ -338,11 +291,10 @@ def _gauge_units(pol):
     zeta_m - zeta_m^{-1} and give the index with label a the pairing value
     sigma_a(zeta_m - zeta_m^{-1}).  Those values move exactly as the group
     moves labels, and d_k is the diagonal scale relating our basis to that
-    one.  Cyclotomic flavor only; kept in ``pol.gauge_units``.
+    one.  Cyclotomic flavor only; kept in ``field.gauge_units``.
     """
-    if pol.gauge_units is not None:
-        return pol.gauge_units
-    field = pol.field
+    if field.gauge_units is not None:
+        return field.gauge_units
     m = field.galois.conductor
     M = field.working_conductor
     one = CyclotomicNumber.one(M)
@@ -355,28 +307,28 @@ def _gauge_units(pol):
     for k in range(1, field.n + 1):
         lab = field.index_to_label[k]
         lift = field.coeff_exponent(field.sigma(lab))
-        u = q0.galois(lift) / (i_unit * pol.epsilons[k])
+        u = q0.galois(lift) / (i_unit * field.epsilons[k])
         d[k] = u.inverse()
         dinv[k] = u
         d[-k] = one
         dinv[-k] = one
-    pol.gauge_units = (d, dinv)
+    field.gauge_units = (d, dinv)
     return d, dinv
 
 
-def _gauge_factors(field, pol, perm, exp):
-    """Per-index unit factors of the action for one group element, kept in ``pol.gauge_factors``."""
-    hit = pol.gauge_factors.get(perm)
+def _gauge_factors(field, perm, exp):
+    """Per-index unit factors of the action for one group element, kept in ``field.gauge_factors``."""
+    hit = field.gauge_factors.get(perm)
     if hit is not None:
         return hit
-    d, dinv = _gauge_units(pol)
+    d, dinv = _gauge_units(field)
     factor = {}
     cofactor = {}
     for k in field.signed_indices():
         kk = field.act_index(perm, k)
         factor[k] = d[k].galois(exp) * dinv[kk]
         cofactor[k] = dinv[k].galois(exp) * d[kk]
-    pol.gauge_factors[perm] = (factor, cofactor)
+    field.gauge_factors[perm] = (factor, cofactor)
     return factor, cofactor
 
 
@@ -398,7 +350,7 @@ def galois_act_element(field, perm, v):
         raise UsageError("element does not belong to the given field")
     exp = field.coeff_exponent(perm)
     if exp is not None:
-        factor, cofactor = _gauge_factors(field, v.pol, perm, exp)
+        factor, cofactor = _gauge_factors(field, perm, exp)
     else:
         factor = cofactor = None
     out = {}
@@ -410,9 +362,9 @@ def galois_act_element(field, perm, v):
             cc = cc * factor[i] * cofactor[j]
         canon = canonical_root_index(field.n, ii, jj)
         if canon != (ii, jj):
-            cc = cc * v.pol.ratio(ii, jj)
+            cc = cc * _ratio(field, ii, jj)
         _accumulate(out, canon, cc)
-    return AlgebraElement(field, v.pol, out, _raw=True)
+    return AlgebraElement(field, out, _raw=True)
 
 
 def is_rational(field, v):
@@ -425,7 +377,7 @@ def is_rational(field, v):
 
 def reynolds_average(field, v):
     """Sum of the full Galois orbit of v; the constructive source of rational elements."""
-    out = zero_element(field, v.pol)
+    out = zero_element(field)
     for g in field.galois.enumerate_group():
         out = out + galois_act_element(field, g, v)
     return out
@@ -456,7 +408,7 @@ def bracket(u, v):
     vu = _mat_mult(pv, pu)
     for key, x in vu.items():
         _accumulate(uv, key, -x)
-    return element_from_entries(u.field, u.pol, uv)
+    return element_from_entries(u.field, uv)
 
 
 def _mat_vec(cols, vec):

@@ -18,12 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .acceptance import DEFAULT_SEED, SCHEMA_VERSION, rational_nilpotent_witness, run_all
-from .algebra import (
-    default_polarization,
-    element_from_json,
-    generated_subalgebra,
-    is_rational,
-)
+from .algebra import cartan_elements, element_from_json, generated_subalgebra, is_rational
 from .cmfield import (
     Orientation,
     enumerate_orientations,
@@ -33,7 +28,7 @@ from .cmfield import (
     oriented_to_json,
     validate_orientation,
 )
-from .errors import CMHodgeError, TheoremViolationError, UsageError
+from .errors import CMHodgeError, UsageError
 from .graphs import is_block_system, support_graph
 from .verifiers import escape_verdict, nondegeneracy_verdict, rigidity_verdict
 
@@ -241,9 +236,7 @@ def _cmd_closure(args):
     field = elements[0].field
     seeds = list(elements)
     if args.with_cartan:
-        from .algebra import cartan_elements
-
-        seeds = cartan_elements(field, elements[0].pol) + seeds
+        seeds = cartan_elements(field) + seeds
     dim, basis = generated_subalgebra(seeds)
     n = field.n
     return _envelope(
@@ -276,14 +269,12 @@ def _cmd_escape(args):
             )
         element = element_from_json(_read_json_file(args.element))
         field = element.field
-        pol = element.pol
     else:
         if not args.orientation:
             raise UsageError("escape needs --element, or field flags plus --orientation")
         field = _load_oriented(args)
-        pol = default_polarization(field)
-        element = rational_nilpotent_witness(field, pol)
-    return _envelope("escape", escape_verdict(field, pol, element))
+        element = rational_nilpotent_witness(field)
+    return _envelope("escape", escape_verdict(field, element))
 
 
 def _cmd_rigidity(args):
@@ -402,15 +393,9 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         payload = args.fn(args)
-    except TheoremViolationError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"reason": exc.reason, "message": str(exc)}}, args)
-        return 4
-    except UsageError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"reason": exc.reason, "message": str(exc)}}, args)
-        return 2
     except CMHodgeError as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": {"reason": exc.reason, "message": str(exc)}}, args)
-        return 3
+        return exc.exit_code
     _emit(payload, args)
     return 0
 

@@ -127,8 +127,11 @@ class GaloisCMData:
 
     # -- group enumeration ----------------------------------------------
 
-    def enumerate_group(self, cap=GROUP_ENUMERATION_CAP):
-        """Every group element, breadth first from the identity.  Deterministic."""
+    def enumerate_group(self):
+        """Every group element, breadth first from the identity.  Deterministic.
+
+        More than GROUP_ENUMERATION_CAP elements raise EnumerationCapError.
+        """
         if self._group is not None:
             return self._group
         gens = self.generators + (self.conjugation,)
@@ -142,9 +145,9 @@ class GaloisCMData:
                 for g in gens:
                     prod = self.compose(perm, g)
                     if prod not in seen:
-                        if len(seen) >= cap:
+                        if len(seen) >= GROUP_ENUMERATION_CAP:
                             raise EnumerationCapError(
-                                f"group has more than {cap} elements"
+                                f"group has more than {GROUP_ENUMERATION_CAP} elements"
                             )
                         seen.add(prod)
                         order.append(prod)
@@ -253,7 +256,7 @@ class Orientation:
 
     def __init__(self, weight, assignment):
         self.weight = weight
-        self.assignment = {lab: (int(p), int(q)) for lab, (p, q) in assignment.items()}
+        self.assignment = {lab: (p, q) for lab, (p, q) in assignment.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Orientation):
@@ -263,11 +266,7 @@ class Orientation:
     def to_json(self):
         return {
             "weight": self.weight,
-            "assignment": {
-                str(lab): [p, q] for lab, (p, q) in sorted(
-                    self.assignment.items(), key=lambda kv: str(kv[0])
-                )
-            },
+            "assignment": {str(lab): [p, q] for lab, (p, q) in self.assignment.items()},
         }
 
     @classmethod
@@ -327,8 +326,16 @@ def _pair_table(galois):
 class OrientedCMField:
     """A Galois CM datum together with a validated odd-weight orientation.
 
-    Built through validate_orientation; carries the signed pair index and
-    the bidegree lookup used by the symplectic layer.
+    Built through validate_orientation; carries the signed pair index, the
+    bidegree lookup and the polarization used by the symplectic layer.
+
+    ``epsilons`` holds the polarization signs: Q_k = epsilon_k * i, fixed by
+    the positivity convention i^(p-q) Q_k > 0, which for bidegree (p, q)
+    gives epsilon = (-1)^((p - q + 1) / 2).  The exponent is an integer
+    because the weight is odd, and conjugate indices receive opposite signs.
+    ``gauge_units`` and ``gauge_factors`` hold the equivariant gauge of the
+    Galois action (``algebra._gauge_units``, ``algebra._gauge_factors``),
+    filled on first use.
     """
 
     def __init__(self, galois, orientation, _token=None):
@@ -338,6 +345,12 @@ class OrientedCMField:
         self.orientation = orientation
         self.n, self.index_to_label = _pair_table(galois)
         self.label_to_index = {lab: k for k, lab in self.index_to_label.items()}
+        self.epsilons = {}
+        for k, lab in self.index_to_label.items():
+            p, q = orientation.assignment[lab]
+            self.epsilons[k] = -1 if ((p - q + 1) // 2) % 2 else 1
+        self.gauge_units = None
+        self.gauge_factors = {}
 
     @property
     def weight(self):
@@ -420,8 +433,9 @@ def _check_odd_weight(weight):
 def validate_orientation(galois, orientation):
     """Check an orientation against a CM datum and return the oriented field.
 
-    Enforces: odd positive weight, every label assigned exactly once with
-    p + q = weight and p, q >= 0, and conjugation swapping (p, q) -> (q, p).
+    Enforces: odd positive weight, every label assigned exactly once an int
+    bidegree with p + q = weight and p, q >= 0, and conjugation swapping
+    (p, q) -> (q, p).
     """
     weight = orientation.weight
     _check_odd_weight(weight)
@@ -431,6 +445,10 @@ def validate_orientation(galois, orientation):
             "assignment labels do not match the field's embedding labels"
         )
     for lab, (p, q) in assignment.items():
+        if type(p) is not int or type(q) is not int:
+            raise InvalidOrientationError(
+                f"label {lab!r} has bidegree ({p!r}, {q!r}); bidegrees must be integers"
+            )
         if p < 0 or q < 0 or p + q != weight:
             raise InvalidOrientationError(
                 f"label {lab!r} has bidegree ({p}, {q}), which does not fit weight {weight}"
@@ -484,7 +502,7 @@ def enumerate_orientations(galois, weight, hodge_numbers):
         raise UsageError(
             f"weight {weight} needs {weight + 1} Hodge numbers, got {len(h)}"
         )
-    if any((not isinstance(x, int)) or x < 0 for x in h):
+    if any(type(x) is not int or x < 0 for x in h):
         raise UsageError("Hodge numbers must be nonnegative integers")
     if h != h[::-1]:
         raise UsageError("Hodge numbers must be symmetric")

@@ -183,11 +183,6 @@ class CyclotomicNumber:
     def is_rational_value(self):
         return not any(self.num[1:])
 
-    def rational_value(self):
-        if not self.is_rational_value():
-            raise UsageError("not a rational value")
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

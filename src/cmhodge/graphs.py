@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import is_rational, nilpotency_degree
 from .cmfield import basis_pos
 from .errors import TheoremViolationError, UsageError
 
@@ -106,24 +107,6 @@ def support_graph(v):
     return graph, _components(n, vertices, edges)
 
 
-def merged_graph(elements, field=None):
-    """Union of the support graphs of several elements (refining partitions merge)."""
-    elements = list(elements)
-    if field is None and elements:
-        field = elements[0].field
-    if field is None:
-        return SupportGraph((), ()), Partition(())
-    edges = set()
-    for v in elements:
-        if v.field != field:
-            raise UsageError("merged_graph needs elements over one common field")
-        edges |= _support_edges(v)
-    n = field.n
-    vertices = field.signed_indices()
-    graph = SupportGraph(vertices, _sorted_edges(n, edges))
-    return graph, _components(n, vertices, edges)
-
-
 def is_block_system(field, partition):
     """Check that every generator maps every block onto a block.
 
@@ -158,6 +141,24 @@ def is_block_system(field, partition):
     return BlockVerdict(True, None)
 
 
+def _degree_and_partition(field, v, caller):
+    """Nilpotency degree and support partition of a rational nilpotent element.
+
+    Enforces the bound shared by every verdict on such an element: a degree
+    above n forces the trivial partition.  ``caller`` names the public
+    function in the error for a non-rational element.
+    """
+    if not is_rational(field, v):
+        raise UsageError(f"{caller} needs a rational element")
+    degree = nilpotency_degree(v)  # raises when not nilpotent
+    _, partition = support_graph(v)
+    if degree > field.n and len(partition.blocks) != 1:
+        raise TheoremViolationError(
+            f"degree {degree} > n = {field.n} but the support partition is not trivial"
+        )
+    return degree, partition
+
+
 def trivial_partition_check(v):
     """Degree-versus-component report for a rational nilpotent element.
 
@@ -165,47 +166,17 @@ def trivial_partition_check(v):
     the partition is a single block; when l exceeds n the partition must be
     trivial, and l can never exceed the largest component size.
     """
-    from .algebra import is_rational, nilpotency_degree
-
     field = v.field
-    if not is_rational(field, v):
-        raise UsageError("trivial_partition_check needs a rational element")
-    degree = nilpotency_degree(v)
-    _, partition = support_graph(v)
+    degree, partition = _degree_and_partition(field, v, "trivial_partition_check")
     max_component = max(partition.block_sizes)
-    trivial = len(partition.blocks) == 1
     if degree > max_component:
         raise TheoremViolationError(
             f"nilpotency degree {degree} exceeds the largest component size {max_component}"
         )
-    hypothesis = degree > field.n
-    if hypothesis and not trivial:
-        raise TheoremViolationError(
-            f"degree {degree} > n = {field.n} but the support partition is not trivial"
-        )
     return {
         "nilpotency_degree": degree,
         "max_component_size": max_component,
-        "partition_trivial": trivial,
-        "degree_exceeds_n": hypothesis,
+        "partition_trivial": len(partition.blocks) == 1,
+        "degree_exceeds_n": degree > field.n,
         "partition": partition.to_json(),
     }
-
-
-def conjugate_merge_divisibility(field, partition):
-    """Divisibility forced by a merged 2-plus-2 conjugate block.
-
-    If some block is a conjugation-closed 4-element set built from a
-    conjugate pair of 2-element supports, block systems force equal block
-    sizes, so 4 must divide 2n.  Returns the offending blocks, raising when
-    the divisibility fails.
-    """
-    hits = []
-    for b in partition.blocks:
-        if len(b) == 4 and {-x for x in b} == set(b):
-            hits.append(list(b))
-    if hits and (2 * field.n) % 4 != 0:
-        raise TheoremViolationError(
-            f"a conjugation-closed 4-element block needs 4 | {2 * field.n}"
-        )
-    return hits

@@ -184,15 +184,6 @@ class Poly:
         den = s * self.den
         return Poly._make([q * other.den for q in quot], den), Poly._make(rem[: db], den)
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for any ring element with + and *."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
-
     def __repr__(self):
         return f"Poly({_format_poly(self.coeffs, 'x')!r})"
 

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 from .algebra import (
     bidegree,
-    bracket,
     cartan_elements,
-    default_polarization,
-    galois_act_element,
     generated_subalgebra,
-    is_rational,
-    nilpotency_degree,
     reynolds_average,
     root_vector,
 )
@@ -30,7 +25,7 @@ from .errors import (
     TheoremViolationError,
     UsageError,
 )
-from .graphs import support_graph
+from .graphs import _degree_and_partition, support_graph
 from .linalg import _is_prime, rank_rational
 from .polynomials import Poly, poly_gcd
 
@@ -203,7 +198,7 @@ def nondegeneracy_verdict(field):
     )
 
 
-def escape_verdict(field, pol, nilpotent):
+def escape_verdict(field, nilpotent):
     """Check that a deep rational nilpotent forces the full algebra.
 
     Preconditions: the field must be certified nondegenerate and the element
@@ -218,29 +213,21 @@ def escape_verdict(field, pol, nilpotent):
             f"(orbit rank {report.orbit_rank} < {report.cartan_bound})",
             reason="field-not-nondegenerate",
         )
-    if not is_rational(field, nilpotent):
-        raise UsageError("escape_verdict needs a rational element")
-    degree = nilpotency_degree(nilpotent)  # raises when not nilpotent
-    _, partition = support_graph(nilpotent)
-    trivial = len(partition.blocks) == 1
+    degree, partition = _degree_and_partition(field, nilpotent, "escape_verdict")
     n = field.n
     ambient = n * (2 * n + 1)
     out = {
         "nilpotency_degree": degree,
         "cartan_bound": n,
         "applicable": degree > n,
-        "partition_trivial": trivial,
+        "partition_trivial": len(partition.blocks) == 1,
         "partition": partition.to_json(),
         "ambient_dimension": ambient,
         "closure_dimension": None,
         "nondegeneracy": report.to_json(),
     }
     if degree > n:
-        if not trivial:
-            raise TheoremViolationError(
-                f"degree {degree} > n = {n} but the support partition is not trivial"
-            )
-        dim, _ = generated_subalgebra(cartan_elements(field, pol) + [nilpotent])
+        dim, _ = generated_subalgebra(cartan_elements(field) + [nilpotent])
         out["closure_dimension"] = dim
         if dim != ambient:
             raise TheoremViolationError(
@@ -311,7 +298,6 @@ def rigidity_verdict(field):
         "dim_not_divisible_by_4": (2 * n) % 4 != 0,
     }
     hypotheses_met = all(hypotheses.values())
-    pol = default_polarization(field)
     orbits_report = []
     offending = []
     for orbit in _edge_orbits(field):
@@ -328,7 +314,7 @@ def rigidity_verdict(field):
         }
         if admissible and has_nonzero:
             a, b = orbit[0]
-            avg = reynolds_average(field, root_vector(field, pol, a, b))
+            avg = reynolds_average(field, root_vector(field, a, b))
             graph, _ = support_graph(avg)
             realized = {tuple(e) for e in graph.edges}
             entry["witness_nonzero"] = not avg.is_zero()

@@ -3,7 +3,6 @@ import pytest
 from cmhodge import (
     build_abstract_cm,
     build_cyclotomic_cm,
-    default_polarization,
     enumerate_orientations,
     validate_orientation,
 )
@@ -28,7 +27,3 @@ def abstract_z6():
 def oriented7():
     return first_oriented(7, 3, (1, 2, 2, 1))
 
-
-@pytest.fixture(scope="session")
-def pol7(oriented7):
-    return default_polarization(oriented7)

@@ -15,7 +15,6 @@ from cmhodge import (
     build_cyclotomic_cm,
     canonical_root_index,
     cartan_elements,
-    default_polarization,
     element_from_coeffs,
     element_from_entries,
     element_from_json,
@@ -29,25 +28,27 @@ from cmhodge import (
     validate_orientation,
     zero_element,
 )
+from cmhodge.algebra import _ratio
 from conftest import abstract_z6, first_oriented
 
 
-def test_default_polarization_signs(oriented7, pol7):
-    assert {k: pol7.epsilons[k] for k in (1, 2, 3)} == {1: 1, 2: -1, 3: -1}
-    assert all(pol7.epsilons[-k] == -pol7.epsilons[k] for k in (1, 2, 3))
+def test_default_polarization_signs(oriented7):
+    assert {k: oriented7.epsilons[k] for k in (1, 2, 3)} == {1: 1, 2: -1, 3: -1}
     i_unit = CyclotomicNumber.i_unit(oriented7.working_conductor)
-    assert pol7.q_value(1) == i_unit
-    assert pol7.q_value(2) == -i_unit
-    assert pol7.q_value(-1) == -pol7.q_value(1)
+    for k in oriented7.signed_indices():
+        # Q_k = epsilon_k * i meets the positivity convention i^(p-q) Q_k > 0
+        p, q = oriented7.bidegree_of_index(k)
+        assert i_unit ** ((p - q + 1) % 4) * oriented7.epsilons[k] == 1
+        assert oriented7.epsilons[-k] == -oriented7.epsilons[k]
 
 
-def test_ratios_are_sign_products(pol7):
-    assert pol7.ratio(1, 2) == 1
-    assert pol7.ratio(2, 3) == -1
-    assert pol7.ratio(1, 3) == 1
-    assert pol7.ratio(1, -1) == 1
+def test_ratios_are_sign_products(oriented7):
+    assert _ratio(oriented7, 1, 2) == 1
+    assert _ratio(oriented7, 2, 3) == -1
+    assert _ratio(oriented7, 1, 3) == 1
+    assert _ratio(oriented7, 1, -1) == 1
     # mirror pairs share the ratio of the flipped order
-    assert pol7.ratio(-3, -2) == -1
+    assert _ratio(oriented7, -3, -2) == -1
 
 
 def test_canonical_root_index_folding():
@@ -67,64 +68,64 @@ def test_all_root_indices_count():
         assert canonical_root_index(3, i, j) == (i, j)
 
 
-def test_root_vector_entries(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
+def test_root_vector_entries(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
     assert x12.entries() == {
         (1, 2): CyclotomicNumber.one(28),
-        (-2, -1): CyclotomicNumber.one(28) * pol7.ratio(1, 2),
+        (-2, -1): CyclotomicNumber.one(28) * _ratio(oriented7, 1, 2),
     }
-    x11 = root_vector(oriented7, pol7, 1, 1)
+    x11 = root_vector(oriented7, 1, 1)
     assert x11.entries() == {
         (1, 1): CyclotomicNumber.one(28),
         (-1, -1): -CyclotomicNumber.one(28),
     }
-    x1m1 = root_vector(oriented7, pol7, 1, -1)
+    x1m1 = root_vector(oriented7, 1, -1)
     assert x1m1.entries() == {(1, -1): CyclotomicNumber.from_rational(28, 2)}
 
 
-def test_element_from_coeffs_folds_mirror_indices(oriented7, pol7):
-    folded = element_from_coeffs(oriented7, pol7, {(-3, -2): 1})
+def test_element_from_coeffs_folds_mirror_indices(oriented7):
+    folded = element_from_coeffs(oriented7, {(-3, -2): 1})
     assert folded.support() == ((2, 3),)
-    assert folded == root_vector(oriented7, pol7, 2, 3) * pol7.ratio(-3, -2)
+    assert folded == root_vector(oriented7, 2, 3) * _ratio(oriented7, -3, -2)
 
 
-def test_element_arithmetic_and_zero(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    x23 = root_vector(oriented7, pol7, 2, 3)
+def test_element_arithmetic_and_zero(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
+    x23 = root_vector(oriented7, 2, 3)
     s = x12 + x23
     assert s - x23 == x12
     assert (s * 0).is_zero()
-    assert -x12 + x12 == zero_element(oriented7, pol7)
+    assert -x12 + x12 == zero_element(oriented7)
     assert x12 * 3 == x12 + x12 + x12
 
 
-def test_entries_round_trip(oriented7, pol7):
+def test_entries_round_trip(oriented7):
     i_unit = CyclotomicNumber.i_unit(28)
     v = (
-        root_vector(oriented7, pol7, 1, 2) * i_unit
-        + root_vector(oriented7, pol7, 2, -2)
-        + root_vector(oriented7, pol7, 3, 3) * 5
+        root_vector(oriented7, 1, 2) * i_unit
+        + root_vector(oriented7, 2, -2)
+        + root_vector(oriented7, 3, 3) * 5
     )
-    assert element_from_entries(oriented7, pol7, v.entries()) == v
+    assert element_from_entries(oriented7, v.entries()) == v
 
 
-def test_tampered_entries_rejected(oriented7, pol7):
-    good = root_vector(oriented7, pol7, 2, 3).entries()
+def test_tampered_entries_rejected(oriented7):
+    good = root_vector(oriented7, 2, 3).entries()
     bad = dict(good)
     bad[(-3, -2)] = -bad[(-3, -2)]
     with pytest.raises(DomainError) as err:
-        element_from_entries(oriented7, pol7, bad)
+        element_from_entries(oriented7, bad)
     assert err.value.reason == "not-in-algebra"
 
-    diag = root_vector(oriented7, pol7, 1, 1).entries()
+    diag = root_vector(oriented7, 1, 1).entries()
     diag_bad = dict(diag)
     diag_bad[(-1, -1)] = diag_bad[(1, 1)]
     with pytest.raises(DomainError):
-        element_from_entries(oriented7, pol7, diag_bad)
+        element_from_entries(oriented7, diag_bad)
 
 
-def test_element_json_round_trip(oriented7, pol7):
-    v = root_vector(oriented7, pol7, 1, -2) * CyclotomicNumber.root_of_unity(28, 5)
+def test_element_json_round_trip(oriented7):
+    v = root_vector(oriented7, 1, -2) * CyclotomicNumber.root_of_unity(28, 5)
     assert element_from_json(v.to_json()) == v
     with pytest.raises(UsageError):
         element_from_json({"terms": []})
@@ -138,54 +139,54 @@ def test_grading_eigenvalues(oriented7):
     assert bidegree(oriented7, -1, 3) == -2
 
 
-def test_basic_bracket_identities(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    x21 = root_vector(oriented7, pol7, 2, 1)
-    x11 = root_vector(oriented7, pol7, 1, 1)
-    x22 = root_vector(oriented7, pol7, 2, 2)
-    x23 = root_vector(oriented7, pol7, 2, 3)
+def test_basic_bracket_identities(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
+    x21 = root_vector(oriented7, 2, 1)
+    x11 = root_vector(oriented7, 1, 1)
+    x22 = root_vector(oriented7, 2, 2)
+    x23 = root_vector(oriented7, 2, 3)
     assert bracket(x12, x21) == x11 - x22
     assert bracket(x11, x12) == x12
     assert bracket(x11, x23).is_zero()
     assert bracket(x12, x12).is_zero()
 
 
-def test_long_root_sl2(oriented7, pol7):
-    up = root_vector(oriented7, pol7, 1, -1)
-    down = root_vector(oriented7, pol7, -1, 1)
-    h = root_vector(oriented7, pol7, 1, 1)
+def test_long_root_sl2(oriented7):
+    up = root_vector(oriented7, 1, -1)
+    down = root_vector(oriented7, -1, 1)
+    h = root_vector(oriented7, 1, 1)
     assert bracket(up, down) == h * 4
     assert bracket(h, up) == up * 2
     assert bracket(h, down) == down * -2
 
 
-def test_chain_brackets_compose_exactly(oriented7, pol7):
+def test_chain_brackets_compose_exactly(oriented7):
     indices = [1, 2, 3, -1, -2, -3]
     checked = 0
     for l, k, m in itertools.permutations(indices, 3):
         if len({abs(l), abs(k), abs(m)}) != 3:
             continue
         lhs = bracket(
-            root_vector(oriented7, pol7, l, k), root_vector(oriented7, pol7, k, m)
+            root_vector(oriented7, l, k), root_vector(oriented7, k, m)
         )
-        assert lhs == root_vector(oriented7, pol7, l, m), (l, k, m)
+        assert lhs == root_vector(oriented7, l, m), (l, k, m)
         checked += 1
     assert checked == 48
 
 
-def test_nilpotency_degrees(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    x23 = root_vector(oriented7, pol7, 2, 3)
-    tail = root_vector(oriented7, pol7, 3, -1)
+def test_nilpotency_degrees(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
+    x23 = root_vector(oriented7, 2, 3)
+    tail = root_vector(oriented7, 3, -1)
     assert nilpotency_degree(x12) == 2
     assert nilpotency_degree(x12 + x23) == 3
     assert nilpotency_degree(x12 + x23 + tail) == 4
-    assert nilpotency_degree(zero_element(oriented7, pol7)) == 1
+    assert nilpotency_degree(zero_element(oriented7)) == 1
 
 
-def test_cartan_is_not_nilpotent(oriented7, pol7):
+def test_cartan_is_not_nilpotent(oriented7):
     with pytest.raises(NotNilpotentError):
-        nilpotency_degree(cartan_elements(oriented7, pol7)[0])
+        nilpotency_degree(cartan_elements(oriented7)[0])
 
 
 def _matrix_power_degree(v):
@@ -235,9 +236,8 @@ def test_nilpotency_degree_matches_matrix_powers_on_rational_nilpotents(m, hodge
     from cmhodge.acceptance import rational_nilpotent_examples
 
     field = first_oriented(m, 3, hodge)
-    pol = default_polarization(field)
     degrees = {}
-    for name, v in rational_nilpotent_examples(field, pol):
+    for name, v in rational_nilpotent_examples(field):
         degrees[name] = nilpotency_degree(v)
         assert degrees[name] == _matrix_power_degree(v), name
     assert degrees["square-zero"] == 2
@@ -247,26 +247,25 @@ def test_nilpotency_degree_matches_matrix_powers_on_rational_nilpotents(m, hodge
 @pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (16, (1, 3, 3, 1))], ids=["m7", "m16"])
 def test_nilpotency_degree_matches_matrix_powers_on_upper_triangular_sums(m, hodge):
     field = first_oriented(m, 3, hodge)
-    pol = default_polarization(field)
     M = field.working_conductor
     n = field.n
     roots = _positive_roots(n)
     rng = random.Random(f"upper-triangular-{m}")
     seen = set()
     for _ in range(120):
-        v = zero_element(field, pol)
+        v = zero_element(field)
         for ij in rng.sample(roots, rng.randrange(0, len(roots) + 1)):
             c = CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, -1, 1, 3))
-            v = v + root_vector(field, pol, *ij) * c
+            v = v + root_vector(field, *ij) * c
         degree = nilpotency_degree(v)
         assert degree == _matrix_power_degree(v)
         seen.add(degree)
     # sparse draws rarely reach the middle degrees, so add the chains X_12 + ... + X_{k-1,k}
     for k in range(2, n + 1):
-        v = zero_element(field, pol)
+        v = zero_element(field)
         for i in range(1, k):
-            v = v + root_vector(field, pol, i, i + 1)
-        for w in (v, v + root_vector(field, pol, k, -k)):
+            v = v + root_vector(field, i, i + 1)
+        for w in (v, v + root_vector(field, k, -k)):
             degree = nilpotency_degree(w)
             assert degree == _matrix_power_degree(w)
             seen.add(degree)
@@ -275,31 +274,31 @@ def test_nilpotency_degree_matches_matrix_powers_on_upper_triangular_sums(m, hod
     assert seen == {l for l in range(1, 2 * n + 1) if l % 2 == 0 or l <= n}
 
 
-def test_nilpotency_degree_reads_past_a_short_first_chain(oriented7, pol7):
+def test_nilpotency_degree_reads_past_a_short_first_chain(oriented7):
     # the principal nilpotent X_12 + X_23 + X_{3,-3} kills e_1, so the first
     # chain in basis order has length one; the full chain starts at e_{-1}
     v = (
-        root_vector(oriented7, pol7, 1, 2)
-        + root_vector(oriented7, pol7, 2, 3)
-        + root_vector(oriented7, pol7, 3, -3)
+        root_vector(oriented7, 1, 2)
+        + root_vector(oriented7, 2, 3)
+        + root_vector(oriented7, 3, -3)
     )
     assert all(b != 1 for (_, b) in v.entries())
     assert nilpotency_degree(v) == _matrix_power_degree(v) == 6
 
 
-def test_nilpotency_degree_of_zero_is_one(oriented7, pol7):
-    zero = zero_element(oriented7, pol7)
+def test_nilpotency_degree_of_zero_is_one(oriented7):
+    zero = zero_element(oriented7)
     assert nilpotency_degree(zero) == _matrix_power_degree(zero) == 1
 
 
-def test_nilpotency_degree_raises_like_matrix_powers(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    principal = x12 + root_vector(oriented7, pol7, 2, 3) + root_vector(oriented7, pol7, 3, -3)
+def test_nilpotency_degree_raises_like_matrix_powers(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
+    principal = x12 + root_vector(oriented7, 2, 3) + root_vector(oriented7, 3, -3)
     cases = [
-        cartan_elements(oriented7, pol7)[0],
-        principal + root_vector(oriented7, pol7, 1, 1),
+        cartan_elements(oriented7)[0],
+        principal + root_vector(oriented7, 1, 1),
         # chains from e_1 and e_2 end before the one from e_3 cycles
-        x12 + root_vector(oriented7, pol7, 3, 3),
+        x12 + root_vector(oriented7, 3, 3),
         reynolds_average(oriented7, x12),
     ]
     for v in cases:
@@ -309,9 +308,9 @@ def test_nilpotency_degree_raises_like_matrix_powers(oriented7, pol7):
         assert got[1] == "not-nilpotent"
 
 
-def test_generated_subalgebra_dimensions(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    x21 = root_vector(oriented7, pol7, 2, 1)
+def test_generated_subalgebra_dimensions(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
+    x21 = root_vector(oriented7, 2, 1)
     assert generated_subalgebra([x12])[0] == 1
     assert generated_subalgebra([x12, x21])[0] == 3
     with pytest.raises(UsageError):
@@ -324,31 +323,29 @@ def test_generated_subalgebra_dimensions(oriented7, pol7):
 )
 def test_all_roots_close_to_full_algebra(m, weight, hodge, expected):
     field = first_oriented(m, weight, hodge)
-    pol = default_polarization(field)
-    seeds = [root_vector(field, pol, i, j) for i, j in all_root_indices(field.n)]
+    seeds = [root_vector(field, i, j) for i, j in all_root_indices(field.n)]
     dim, _ = generated_subalgebra(seeds)
     assert dim == expected == field.n * (2 * field.n + 1)
 
 
-def test_galois_action_moves_support(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
+def test_galois_action_moves_support(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
     moved = galois_act_element(oriented7, oriented7.sigma(3), x12)
     # index pair (1,2) lands on (3,-1), canonically stored at (1,-3)
     assert moved.support() == ((1, -3),)
     unit = moved.coefficient(1, -3)
     assert not unit.is_rational_value()
-    assert moved == root_vector(oriented7, pol7, 1, -3) * unit
+    assert moved == root_vector(oriented7, 1, -3) * unit
 
 
-def test_identity_acts_trivially(oriented7, pol7):
-    v = root_vector(oriented7, pol7, 1, 2) + root_vector(oriented7, pol7, 3, -1) * 2
+def test_identity_acts_trivially(oriented7):
+    v = root_vector(oriented7, 1, 2) + root_vector(oriented7, 3, -1) * 2
     assert galois_act_element(oriented7, oriented7.galois.identity(), v) == v
 
 
 @pytest.mark.parametrize("m,weight,hodge", [(7, 3, (1, 2, 2, 1)), (16, 3, (1, 3, 3, 1))])
 def test_galois_action_composes(m, weight, hodge):
     field = first_oriented(m, weight, hodge)
-    pol = default_polarization(field)
     group = field.galois.enumerate_group()
     rng = random.Random(f"action-{m}")
     idx = all_root_indices(field.n)
@@ -357,7 +354,7 @@ def test_galois_action_composes(m, weight, hodge):
         c = CyclotomicNumber.root_of_unity(
             field.working_conductor, rng.randrange(field.working_conductor)
         )
-        v = root_vector(field, pol, i, j) * c
+        v = root_vector(field, i, j) * c
         g = rng.choice(group)
         h = rng.choice(group)
         gh = field.galois.compose(g, h)
@@ -366,10 +363,10 @@ def test_galois_action_composes(m, weight, hodge):
         )
 
 
-def test_galois_action_commutes_with_bracket(oriented7, pol7):
+def test_galois_action_commutes_with_bracket(oriented7):
     group = oriented7.galois.enumerate_group()
-    u = root_vector(oriented7, pol7, 1, 2) * CyclotomicNumber.root_of_unity(28, 3)
-    v = root_vector(oriented7, pol7, 2, -3)
+    u = root_vector(oriented7, 1, 2) * CyclotomicNumber.root_of_unity(28, 3)
+    v = root_vector(oriented7, 2, -3)
     for g in group:
         lhs = galois_act_element(oriented7, g, bracket(u, v))
         rhs = bracket(
@@ -378,8 +375,8 @@ def test_galois_action_commutes_with_bracket(oriented7, pol7):
         assert lhs == rhs
 
 
-def test_reynolds_lands_in_fixed_space(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
+def test_reynolds_lands_in_fixed_space(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
     assert not is_rational(oriented7, x12)
     avg = reynolds_average(oriented7, x12)
     assert not avg.is_zero()
@@ -389,8 +386,8 @@ def test_reynolds_lands_in_fixed_space(oriented7, pol7):
     assert reynolds_average(oriented7, avg) == avg * oriented7.galois.group_order
 
 
-def test_conjugation_negates_diagonal(oriented7, pol7):
-    h = cartan_elements(oriented7, pol7)[0]
+def test_conjugation_negates_diagonal(oriented7):
+    h = cartan_elements(oriented7)[0]
     conj = oriented7.galois.conjugation
     assert galois_act_element(oriented7, conj, h) == -h
     assert not is_rational(oriented7, h)
@@ -406,11 +403,10 @@ def test_abstract_action_is_bare_substitution():
              "A": (0, 3), "B": (1, 2), "C": (1, 2)},
         ),
     )
-    pol = default_polarization(field)
     rot = galois.generators[0]
     assert [field.act_index(rot, k) for k in (1, 2, 3)] == [2, 3, 1]
-    moved = galois_act_element(field, rot, root_vector(field, pol, 1, 2))
-    assert moved == root_vector(field, pol, 2, 3)
+    moved = galois_act_element(field, rot, root_vector(field, 1, 2))
+    assert moved == root_vector(field, 2, 3)
 
 
 def test_abstract_extreme_orientation_average_is_fixed():
@@ -426,15 +422,14 @@ def test_abstract_extreme_orientation_average_is_fixed():
              "A": (0, 3), "B": (0, 3), "C": (0, 3)},
         ),
     )
-    pol = default_polarization(extreme)
-    assert {k: pol.epsilons[k] for k in (1, 2, 3)} == {1: 1, 2: 1, 3: 1}
-    avg = reynolds_average(extreme, root_vector(extreme, pol, 1, 2))
+    assert {k: extreme.epsilons[k] for k in (1, 2, 3)} == {1: 1, 2: 1, 3: 1}
+    avg = reynolds_average(extreme, root_vector(extreme, 1, 2))
     assert not avg.is_zero()
     assert is_rational(extreme, avg)
 
 
-def test_action_rejects_foreign_elements(oriented7, pol7):
+def test_action_rejects_foreign_elements(oriented7):
     other = first_oriented(16, 3, (1, 3, 3, 1))
-    v = root_vector(other, default_polarization(other), 1, 2)
+    v = root_vector(other, 1, 2)
     with pytest.raises(UsageError):
         galois_act_element(oriented7, oriented7.sigma(3), v)

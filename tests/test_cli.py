@@ -10,13 +10,15 @@ import pytest
 
 from cmhodge import (
     Orientation,
-    default_polarization,
+    TheoremViolationError,
     field_to_json,
+    reynolds_average,
     root_vector,
+    trivial_partition_check,
     validate_orientation,
     zero_element,
 )
-from cmhodge import cli
+from cmhodge import cli, graphs
 from cmhodge.acceptance import rational_nilpotent_witness
 from cmhodge.cli import main
 from conftest import abstract_z6
@@ -249,8 +251,8 @@ def test_field_with_a_huge_conductor_exits_3_at_once(capsys):
 
 
 @pytest.fixture(scope="module")
-def witness_file(tmp_path_factory, oriented7, pol7):
-    v = rational_nilpotent_witness(oriented7, pol7)
+def witness_file(tmp_path_factory, oriented7):
+    v = rational_nilpotent_witness(oriented7)
     path = tmp_path_factory.mktemp("elements") / "witness.json"
     path.write_text(json.dumps(v.to_json()))
     return str(path)
@@ -328,6 +330,21 @@ def test_escape_element_refuses_an_abstract_file(capsys, witness_file, abstract_
     assert doc["error"]["reason"] == "element-excludes-field-flags"
 
 
+def test_a_theorem_violation_exits_4_with_the_shared_message(capsys, tmp_path, monkeypatch, oriented7):
+    # a rational element whose support splits into two blocks, given a degree above n = 3
+    split = reynolds_average(oriented7, root_vector(oriented7, 1, 2))
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split.to_json()))
+    monkeypatch.setattr(graphs, "nilpotency_degree", lambda v: 4)
+    message = "degree 4 > n = 3 but the support partition is not trivial"
+    code, doc = run_cli(capsys, "escape", "--element", str(path))
+    assert code == 4
+    assert doc["error"] == {"reason": "theorem-violation", "message": message}
+    with pytest.raises(TheoremViolationError) as err:
+        trivial_partition_check(split)
+    assert str(err.value) == message
+
+
 def test_escape_constructs_its_own_witness(capsys):
     code, doc = run_cli(
         capsys, "escape", "--conductor", "7",
@@ -351,16 +368,15 @@ def abstract_files(tmp_path_factory):
     field = validate_orientation(
         galois, Orientation(3, {lab: tuple(pq) for lab, pq in BALANCED_Z6.items()})
     )
-    pol = default_polarization(field)
     # the sum of the X_{k,-k} and X_{-k,k} is fixed by the group but not nilpotent
-    swap = zero_element(field, pol)
+    swap = zero_element(field)
     for k in (1, 2, 3):
-        swap = swap + root_vector(field, pol, k, -k) + root_vector(field, pol, -k, k)
+        swap = swap + root_vector(field, k, -k) + root_vector(field, -k, k)
     base = tmp_path_factory.mktemp("abstract")
     paths = {}
     for name, doc in (
         ("field", field_to_json(galois)),
-        ("zero", zero_element(field, pol).to_json()),
+        ("zero", zero_element(field).to_json()),
         ("swap", swap.to_json()),
     ):
         path = base / f"{name}.json"

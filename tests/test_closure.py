@@ -10,7 +10,6 @@ from cmhodge import (
     Orientation,
     all_root_indices,
     cartan_elements,
-    default_polarization,
     element_from_coeffs,
     generated_subalgebra,
     root_vector,
@@ -66,14 +65,13 @@ def check_against_exact(seeds, routes, forced_exact=False):
 def witness_case(request):
     m, hodge = request.param
     field = first_oriented(m, 3, hodge)
-    pol = default_polarization(field)
-    return field, pol, rational_nilpotent_witness(field, pol)
+    return field, rational_nilpotent_witness(field)
 
 
 def test_escape_witness_closures_take_the_modular_route(witness_case, routes):
-    field, pol, witness = witness_case
+    field, witness = witness_case
     n = field.n
-    assert check_against_exact(cartan_elements(field, pol) + [witness], routes) == n * (2 * n + 1)
+    assert check_against_exact(cartan_elements(field) + [witness], routes) == n * (2 * n + 1)
 
 
 def _random_coefficient(rng, M, cyclotomic):
@@ -96,7 +94,6 @@ def _random_coefficient(rng, M, cyclotomic):
 )
 def test_random_cartan_seeded_supports(m, hodge, cases, cyclotomic, size, routes):
     field = first_oriented(m, 3, hodge)
-    pol = default_polarization(field)
     M = field.working_conductor
     roots = [ij for ij in all_root_indices(field.n) if ij[0] != ij[1]]
     rng = random.Random(f"closure-supports-{m}")
@@ -104,27 +101,27 @@ def test_random_cartan_seeded_supports(m, hodge, cases, cyclotomic, size, routes
     for t in range(cases):
         support = rng.sample(roots, size(rng, t))
         element = element_from_coeffs(
-            field, pol, {ij: _random_coefficient(rng, M, cyclotomic) for ij in support}
+            field, {ij: _random_coefficient(rng, M, cyclotomic) for ij in support}
         )
-        dims.add(check_against_exact(cartan_elements(field, pol) + [element], routes))
+        dims.add(check_against_exact(cartan_elements(field) + [element], routes))
     # both routes are exercised: some closures stay below ambient, some reach it
     n = field.n
     assert n * (2 * n + 1) in dims and min(dims) < n * (2 * n + 1)
 
 
-def test_closures_below_ambient_take_the_exact_route(oriented7, pol7, routes):
+def test_closures_below_ambient_take_the_exact_route(oriented7, routes):
     n = oriented7.n
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    x21 = root_vector(oriented7, pol7, 2, 1)
+    x12 = root_vector(oriented7, 1, 2)
+    x21 = root_vector(oriented7, 2, 1)
     assert check_against_exact([x12], routes) == 1
     assert check_against_exact([x12, x21], routes) == 3
     positive = [
-        root_vector(oriented7, pol7, i, j)
+        root_vector(oriented7, i, j)
         for i, j in all_root_indices(n)
         if i > 0 and i != j and (j < 0 or i < j)
     ]
     assert check_against_exact(positive, routes) == n * n
-    borel = cartan_elements(oriented7, pol7) + positive
+    borel = cartan_elements(oriented7) + positive
     assert check_against_exact(borel, routes) == n * (n + 1)
 
 
@@ -132,21 +129,20 @@ def test_abstract_field_closures(routes):
     galois = abstract_z6()
     bidegrees = {"a": (3, 0), "b": (2, 1), "c": (2, 1), "A": (0, 3), "B": (1, 2), "C": (1, 2)}
     field = validate_orientation(galois, Orientation(3, bidegrees))
-    pol = default_polarization(field)
     assert field.working_conductor == 4
-    cartan = cartan_elements(field, pol)
+    cartan = cartan_elements(field)
     # the simple root vectors and their negatives generate all of sp(6)
     simple = [(1, 2), (2, 3), (3, -3), (2, 1), (3, 2), (-3, 3)]
-    sl2s = element_from_coeffs(field, pol, {ij: 1 for ij in simple})
+    sl2s = element_from_coeffs(field, {ij: 1 for ij in simple})
     assert check_against_exact(cartan + [sl2s], routes) == 21
-    assert check_against_exact(cartan + [root_vector(field, pol, 1, 2)], routes) == 4
+    assert check_against_exact(cartan + [root_vector(field, 1, 2)], routes) == 4
 
 
 def test_denominator_divisible_by_the_prime_forces_the_exact_route(witness_case, routes):
-    field, pol, witness = witness_case
+    field, witness = witness_case
     p, _ = split_prime(field.working_conductor)
     n = field.n
-    seeds = cartan_elements(field, pol) + [witness * Fraction(1, p)]
+    seeds = cartan_elements(field) + [witness * Fraction(1, p)]
     assert check_against_exact(seeds, routes, forced_exact=True) == n * (2 * n + 1)
 
 
@@ -157,22 +153,22 @@ def _in_the_prime(field):
     return CyclotomicNumber.root_of_unity(M, 1) - omega
 
 
-def test_an_element_that_vanishes_mod_p_is_still_counted(oriented7, pol7, routes):
+def test_an_element_that_vanishes_mod_p_is_still_counted(oriented7, routes):
     c = _in_the_prime(oriented7)
     assert c and ModularSpan(oriented7.working_conductor)._image(c) == 0
-    x12 = root_vector(oriented7, pol7, 1, 2)
+    x12 = root_vector(oriented7, 1, 2)
     assert check_against_exact([x12 * c], routes) == 1
-    assert check_against_exact(cartan_elements(oriented7, pol7) + [x12 * c], routes) == 4
+    assert check_against_exact(cartan_elements(oriented7) + [x12 * c], routes) == 4
 
 
-def test_a_false_modular_reject_still_certifies_the_dimension(oriented7, pol7, routes):
+def test_a_false_modular_reject_still_certifies_the_dimension(oriented7, routes):
     # every root vector, one of them scaled by an element of the prime: the
     # modular pass rejects that seed, then reaches it again as a bracket
     n = oriented7.n
     ambient = n * (2 * n + 1)
     c = _in_the_prime(oriented7)
     seeds = [
-        root_vector(oriented7, pol7, i, j) * (c if (i, j) == (1, 2) else 1)
+        root_vector(oriented7, i, j) * (c if (i, j) == (1, 2) else 1)
         for i, j in all_root_indices(n)
     ]
     dim, basis = generated_subalgebra(seeds)

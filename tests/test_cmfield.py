@@ -55,9 +55,11 @@ def test_enumerate_group_is_deterministic_and_complete():
     assert group == galois.enumerate_group()  # cached, same tuple
 
 
-def test_enumerate_group_cap():
+def test_enumerate_group_cap(monkeypatch):
+    galois = build_cyclotomic_cm(11)
+    monkeypatch.setattr(cmfield, "GROUP_ENUMERATION_CAP", 5)
     with pytest.raises(EnumerationCapError):
-        build_cyclotomic_cm(11).enumerate_group(cap=5)
+        galois.enumerate_group()
 
 
 @pytest.mark.parametrize("m", [10007, 1000003])
@@ -197,6 +199,7 @@ def test_first_orientation_is_the_canonical_example():
         ((1, 2, 1, 2), UsageError),  # not symmetric
         ((2, 2, 2, 2), UsageError),  # wrong sum
         ((1, -1, -1, 1), UsageError),  # negative entries
+        ((True, 2, 2, True), UsageError),  # booleans are not Hodge numbers
     ],
 )
 def test_enumerate_orientations_validates_hodge(hodge, exc):
@@ -231,6 +234,18 @@ def test_boolean_weight_is_not_an_odd_weight():
     with pytest.raises(InvalidOrientationError) as err:
         enumerate_orientations(galois, True, (3, 3))
     assert err.value.reason == "odd-weight-required"
+
+
+@pytest.mark.parametrize("label,bidegree", [(1, (3.0, 0)), (4, (True, 2)), (2, (2, "1"))])
+def test_validate_orientation_rejects_non_int_bidegrees(label, bidegree):
+    # (3.0, 0) and (True, 2) equal valid bidegrees; Orientation stores them as given
+    galois = build_cyclotomic_cm(7)
+    orientation = Orientation(3, {**CANONICAL_7, label: bidegree})
+    assert orientation.assignment[label] == bidegree
+    with pytest.raises(InvalidOrientationError) as err:
+        validate_orientation(galois, orientation)
+    assert err.value.reason == "invalid-orientation"
+    assert "bidegrees must be integers" in str(err.value)
 
 
 def test_validate_orientation_rejects_label_mismatch():

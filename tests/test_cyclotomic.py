@@ -37,10 +37,18 @@ def test_primitive_root_has_order_m(m):
         assert z**k != CyclotomicNumber.one(m)
 
 
+def _evaluate(poly, x):
+    """poly(x) by Horner's rule."""
+    acc = CyclotomicNumber.zero(x.conductor)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @pytest.mark.parametrize("m", [4, 7, 9, 12, 16, 28])
 def test_root_satisfies_minimal_polynomial(m):
     z = CyclotomicNumber.root_of_unity(m, 1)
-    value = cyclotomic_polynomial(m)(z)
+    value = _evaluate(cyclotomic_polynomial(m), z)
     assert value == CyclotomicNumber.zero(m) or value.is_zero()
 
 
@@ -56,7 +64,7 @@ def test_power_of_28th_root_behaves_like_7th_root():
     # zeta_28^4 generates the 7th roots inside the bigger field
     z = CyclotomicNumber.root_of_unity(28, 4)
     assert z**7 == CyclotomicNumber.one(28)
-    assert cyclotomic_polynomial(7)(z).is_zero()
+    assert _evaluate(cyclotomic_polynomial(7), z).is_zero()
 
 
 @pytest.mark.parametrize("M", CONDUCTORS)

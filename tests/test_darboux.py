@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from cmhodge import CyclotomicNumber, default_polarization, reynolds_average, root_vector
+from cmhodge import CyclotomicNumber, reynolds_average, root_vector
 from cmhodge.acceptance import (
     _fixed_symplectic_pairs,
     _fixed_vectors,
@@ -57,13 +57,13 @@ def _fraction_rows(idx, i_unit, vectors):
     return rows
 
 
-def _gauge_pairing_values(field, pol):
+def _gauge_pairing_values(field):
     """Pairing values on the coordinate vectors in the equivariant gauge, from its units."""
-    _, dinv = _gauge_units(pol)
+    _, dinv = _gauge_units(field)
     i_unit = CyclotomicNumber.i_unit(field.working_conductor)
     out = {}
     for k in range(1, field.n + 1):
-        out[k] = dinv[k] * i_unit * pol.epsilons[k]
+        out[k] = dinv[k] * i_unit * field.epsilons[k]
         out[-k] = -out[k]
     return out
 
@@ -94,10 +94,10 @@ def _averaged_fixed_vectors(field):
     raise AssertionError("the averages span fewer than 2n dimensions")
 
 
-def _reference_pairs(field, pol, averages):
+def _reference_pairs(field, averages):
     """Reference: symplectic Gram-Schmidt on the averaged vectors, in Q(zeta_M)."""
     idx = field.signed_indices()
-    pairing_values = _gauge_pairing_values(field, pol)
+    pairing_values = _gauge_pairing_values(field)
     pool = list(averages)
     pairs = []
     while pool:
@@ -121,7 +121,7 @@ def _reference_pairs(field, pol, averages):
 
 
 def test_pairs_form_a_darboux_basis(oriented):
-    pairs, pairing_values = _fixed_symplectic_pairs(oriented, default_polarization(oriented))
+    pairs, pairing_values = _fixed_symplectic_pairs(oriented)
     assert len(pairs) == oriented.n
     for a, (ua, va) in enumerate(pairs):
         for b, (ub, vb) in enumerate(pairs):
@@ -145,8 +145,8 @@ def test_pairs_equal_the_averaging_oracle(m, hodge):
     field = first_oriented(m, 3, hodge)
     averages = _averaged_fixed_vectors(field)
     assert _fixed_vectors(field) == averages
-    expected = _reference_pairs(field, default_polarization(field), averages)
-    assert _fixed_symplectic_pairs(field, default_polarization(field)) == expected
+    expected = _reference_pairs(field, averages)
+    assert _fixed_symplectic_pairs(field) == expected
 
 
 def test_fixed_vectors_are_fixed_by_the_generators_and_conjugation(oriented):
@@ -157,7 +157,7 @@ def test_fixed_vectors_are_fixed_by_the_generators_and_conjugation(oriented):
 
 
 def test_gram_matrix_is_the_pairing_of_the_fixed_vectors(oriented):
-    pairing_values = _gauge_pairing_values(oriented, default_polarization(oriented))
+    pairing_values = _gauge_pairing_values(oriented)
     ys = _fixed_vectors(oriented)
     gram = _gram_matrix(oriented.galois.conductor, len(ys))
     for (a, ya), (b, yb) in itertools.product(enumerate(ys), repeat=2):
@@ -165,9 +165,8 @@ def test_gram_matrix_is_the_pairing_of_the_fixed_vectors(oriented):
 
 
 def test_closed_form_pairing_values_match_the_gauge(oriented):
-    pol = default_polarization(oriented)
-    _, pairing_values = _fixed_symplectic_pairs(oriented, pol)
-    assert pairing_values == _gauge_pairing_values(oriented, pol)
+    _, pairing_values = _fixed_symplectic_pairs(oriented)
+    assert pairing_values == _gauge_pairing_values(oriented)
 
 
 @pytest.mark.parametrize("m", (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 23, 24, 25, 36, 60))
@@ -187,12 +186,11 @@ def test_degenerate_gram_matrix_raises_a_theorem_violation(monkeypatch):
         "cmhodge.acceptance._gram_matrix", lambda m, size: [[0] * size for _ in range(size)]
     )
     with pytest.raises(TheoremViolationError, match="degenerate"):
-        _fixed_symplectic_pairs(field, default_polarization(field))
+        _fixed_symplectic_pairs(field)
 
 
 def test_witness_makes_no_rank_call_and_no_group_enumeration(monkeypatch):
     field = first_oriented(11, 3, (2, 3, 3, 2))
-    pol = default_polarization(field)
     calls = []
 
     def spy(name):
@@ -205,16 +203,15 @@ def test_witness_makes_no_rank_call_and_no_group_enumeration(monkeypatch):
     monkeypatch.setattr("cmhodge.linalg.rank_rational", spy("rank_rational"))
     monkeypatch.setattr("cmhodge.acceptance.rank_rational", spy("rank_rational"))
     monkeypatch.setattr(GaloisCMData, "enumerate_group", spy("enumerate_group"))
-    witness = rational_nilpotent_witness(field, pol)
+    witness = rational_nilpotent_witness(field)
     assert calls == []
     assert not witness.is_zero()
 
 
 def test_polarization_state_is_declared_up_front():
     field = first_oriented(7, 3, (1, 2, 2, 1))
-    pol = default_polarization(field)
-    before = set(vars(pol))
-    rational_nilpotent_witness(field, pol)
-    reynolds_average(field, root_vector(field, pol, 1, 2))
-    assert set(vars(pol)) == before
-    assert pol.gauge_units is not None and pol.gauge_factors
+    before = set(vars(field))
+    rational_nilpotent_witness(field)
+    reynolds_average(field, root_vector(field, 1, 2))
+    assert set(vars(field)) == before
+    assert field.gauge_units is not None and field.gauge_factors

@@ -2,12 +2,9 @@ import pytest
 
 from cmhodge import (
     Partition,
-    TheoremViolationError,
     UsageError,
     cartan_elements,
-    conjugate_merge_divisibility,
     is_block_system,
-    merged_graph,
     reynolds_average,
     root_vector,
     support_graph,
@@ -16,21 +13,21 @@ from cmhodge import (
 from cmhodge.acceptance import rational_nilpotent_witness
 
 
-def test_cartan_support_is_loops_only(oriented7, pol7):
-    h = cartan_elements(oriented7, pol7)[0]
+def test_cartan_support_is_loops_only(oriented7):
+    h = cartan_elements(oriented7)[0]
     graph, partition = support_graph(h)
     assert graph.edges == ((1, 1), (-1, -1))
     assert partition.block_sizes == (1,) * 6
 
 
-def test_offdiagonal_support_carries_mirror_edge(oriented7, pol7):
-    graph, partition = support_graph(root_vector(oriented7, pol7, 1, 2))
+def test_offdiagonal_support_carries_mirror_edge(oriented7):
+    graph, partition = support_graph(root_vector(oriented7, 1, 2))
     assert graph.edges == ((1, 2), (-1, -2))
     assert partition.blocks == ((1, 2), (3,), (-1, -2), (-3,))
 
 
-def test_reynolds_support_partition_is_block_system(oriented7, pol7):
-    avg = reynolds_average(oriented7, root_vector(oriented7, pol7, 1, 2))
+def test_reynolds_support_partition_is_block_system(oriented7):
+    avg = reynolds_average(oriented7, root_vector(oriented7, 1, 2))
     graph, partition = support_graph(avg)
     assert len(graph.edges) == 6
     assert partition.blocks == ((1, 2, -3), (3, -1, -2))
@@ -54,35 +51,8 @@ def test_is_block_system_validates_partitions(oriented7):
         is_block_system(oriented7, Partition(((1, 2, 3),)))
 
 
-def test_merged_graph_refines_to_common_partition(oriented7, pol7):
-    x12 = root_vector(oriented7, pol7, 1, 2)
-    x23 = root_vector(oriented7, pol7, 2, 3)
-    _, p12 = support_graph(x12)
-    _, merged = merged_graph([x12, x23])
-    assert p12.block_sizes == (2, 1, 2, 1)
-    assert merged.blocks == ((1, 2, 3), (-1, -2, -3))
-
-
-def test_merged_graph_empty_input_conventions(oriented7, pol7):
-    graph, partition = merged_graph([], field=oriented7)
-    assert graph.edges == ()
-    assert partition.block_sizes == (1,) * 6
-    graph, partition = merged_graph([])
-    assert graph.vertices == () and partition.blocks == ()
-
-
-def test_merged_graph_rejects_mixed_fields(oriented7, pol7):
-    from conftest import first_oriented
-    from cmhodge import default_polarization
-
-    other = first_oriented(16, 3, (1, 3, 3, 1))
-    v = root_vector(other, default_polarization(other), 1, 2)
-    with pytest.raises(UsageError):
-        merged_graph([root_vector(oriented7, pol7, 1, 2), v])
-
-
-def test_trivial_partition_check_on_the_long_chain(oriented7, pol7):
-    witness = rational_nilpotent_witness(oriented7, pol7)
+def test_trivial_partition_check_on_the_long_chain(oriented7):
+    witness = rational_nilpotent_witness(oriented7)
     report = trivial_partition_check(witness)
     assert report["nilpotency_degree"] == 6
     assert report["max_component_size"] == 6
@@ -91,34 +61,16 @@ def test_trivial_partition_check_on_the_long_chain(oriented7, pol7):
     assert report["partition"]["blocks"] == [[1, 2, 3, -1, -2, -3]]
 
 
-def test_trivial_partition_check_small_degree(oriented7, pol7):
+def test_trivial_partition_check_small_degree(oriented7):
     from cmhodge.acceptance import rational_nilpotent_examples
 
-    examples = dict(rational_nilpotent_examples(oriented7, pol7))
+    examples = dict(rational_nilpotent_examples(oriented7))
     report = trivial_partition_check(examples["square-zero"])
     assert report["nilpotency_degree"] == 2
     assert report["nilpotency_degree"] <= report["max_component_size"]
     assert report["degree_exceeds_n"] is False
 
 
-def test_trivial_partition_check_needs_rational_input(oriented7, pol7):
+def test_trivial_partition_check_needs_rational_input(oriented7):
     with pytest.raises(UsageError):
-        trivial_partition_check(root_vector(oriented7, pol7, 1, 2))
-
-
-def test_conjugate_merge_divisibility(oriented7):
-    none = conjugate_merge_divisibility(oriented7, Partition(((1, 2, 3), (-1, -2, -3))))
-    assert none == []
-    with pytest.raises(TheoremViolationError):
-        # n = 3 here, so 2n = 6 is not divisible by 4
-        conjugate_merge_divisibility(
-            oriented7, Partition(((1, 2, -1, -2), (3,), (-3,)))
-        )
-    # with n = 4 the same block shape is allowed and gets reported
-    from conftest import first_oriented
-
-    wide = first_oriented(16, 3, (1, 3, 3, 1))
-    hits = conjugate_merge_divisibility(
-        wide, Partition(((1, 2, -1, -2), (3, 4, -3, -4)))
-    )
-    assert hits == [[1, 2, -1, -2], [3, 4, -3, -4]]
+        trivial_partition_check(root_vector(oriented7, 1, 2))

@@ -28,12 +28,6 @@ def test_arithmetic_basics():
     assert (-f) + f == Poly.zero()
 
 
-def test_evaluation_matches_direct_sum():
-    f = Poly((3, -2, 0, 5))
-    x = Fraction(7, 3)
-    assert f(x) == 3 - 2 * x + 5 * x**3
-
-
 def test_divmod_round_trip():
     rng = random.Random("poly-div")
     for _ in range(50):

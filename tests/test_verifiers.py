@@ -12,7 +12,6 @@ from cmhodge import (
     build_cyclotomic_cm,
     circulant_matrix,
     circulant_rank,
-    default_polarization,
     enumerate_orientations,
     escape_verdict,
     nondegeneracy_verdict,
@@ -143,34 +142,33 @@ def test_abstract_field_takes_the_circulant_route():
 def test_escape_requires_nondegenerate_field():
     galois = abstract_z6()
     extreme = validate_orientation(galois, Orientation(3, EXTREME_ABSTRACT))
-    pol = default_polarization(extreme)
     with pytest.raises(PreconditionError) as err:
-        escape_verdict(extreme, pol, root_vector(extreme, pol, 1, 2))
+        escape_verdict(extreme, root_vector(extreme, 1, 2))
     assert err.value.reason == "field-not-nondegenerate"
 
 
-def test_escape_requires_rational_nilpotent_input(oriented7, pol7):
+def test_escape_requires_rational_nilpotent_input(oriented7):
     with pytest.raises(UsageError):
-        escape_verdict(oriented7, pol7, root_vector(oriented7, pol7, 1, 2))
-    avg = reynolds_average(oriented7, root_vector(oriented7, pol7, 1, 2))
+        escape_verdict(oriented7, root_vector(oriented7, 1, 2))
+    avg = reynolds_average(oriented7, root_vector(oriented7, 1, 2))
     with pytest.raises(NotNilpotentError):
-        escape_verdict(oriented7, pol7, avg)
+        escape_verdict(oriented7, avg)
 
 
-def test_escape_below_threshold_reports_not_applicable(oriented7, pol7):
-    examples = dict(rational_nilpotent_examples(oriented7, pol7))
-    out = escape_verdict(oriented7, pol7, examples["square-zero"])
+def test_escape_below_threshold_reports_not_applicable(oriented7):
+    examples = dict(rational_nilpotent_examples(oriented7))
+    out = escape_verdict(oriented7, examples["square-zero"])
     assert out["nilpotency_degree"] == 2
     assert out["applicable"] is False
     assert out["closure_dimension"] is None
-    out = escape_verdict(oriented7, pol7, examples["half-chain"])
+    out = escape_verdict(oriented7, examples["half-chain"])
     assert out["nilpotency_degree"] == 3  # equal to n still does not trigger
     assert out["applicable"] is False
 
 
-def test_escape_deep_nilpotent_forces_everything(oriented7, pol7):
-    witness = rational_nilpotent_witness(oriented7, pol7)
-    out = escape_verdict(oriented7, pol7, witness)
+def test_escape_deep_nilpotent_forces_everything(oriented7):
+    witness = rational_nilpotent_witness(oriented7)
+    out = escape_verdict(oriented7, witness)
     assert out["applicable"] is True
     assert out["nilpotency_degree"] == 6
     assert out["partition_trivial"] is True
