@@ -15,7 +15,6 @@ from .algebra import (
     canonical_root_index,
     cartan_elements,
     element_from_coeffs,
-    element_from_entries,
     element_from_json,
     galois_act_element,
     generated_subalgebra,

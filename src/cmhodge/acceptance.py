@@ -26,11 +26,11 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import (
+    AlgebraElement,
     _gauge_units,
     all_root_indices,
     bracket,
     element_from_coeffs,
-    element_from_entries,
     generated_subalgebra,
     is_rational,
     reynolds_average,
@@ -186,22 +186,31 @@ def _fixed_symplectic_pairs(field):
 
 
 def _rank_two_entries(field, pairing_values, s, t):
-    """Entries of x -> s*Q(t, x) + t*Q(s, x), the basic pairing-compatible map."""
-    idx = field.signed_indices()
+    """Canonical entries of x -> s*Q(t, x) + t*Q(s, x), the basic pairing-compatible map.
+
+    The map lies in the algebra, so its entries at the canonical root
+    indices determine it; the others are never computed.
+    """
     entries = {}
-    for a in idx:
-        for b in idx:
-            val = (s[a] * t[-b] + t[a] * s[-b]) * pairing_values[-b]
-            if val:
-                entries[(a, b)] = val
+    for a, b in all_root_indices(field.n):
+        val = (s[a] * t[-b] + t[a] * s[-b]) * pairing_values[-b]
+        if val:
+            entries[(a, b)] = val
     return entries
 
 
 def _from_gauge_entries(field, entries):
+    """The element whose matrix has these canonical entries in the equivariant gauge.
+
+    Its X-coefficient at a canonical (a, b) is the matrix entry there,
+    halved at b = -a because X_{a,-a} = 2 E_{a,-a}.
+    """
     d, dinv = _gauge_units(field)
-    return element_from_entries(
-        field, {(a, b): dinv[a] * val * d[b] for (a, b), val in entries.items()}
-    )
+    coeffs = {}
+    for (a, b), val in entries.items():
+        c = dinv[a] * val * d[b]
+        coeffs[(a, b)] = c / 2 if b == -a else c
+    return AlgebraElement(field, coeffs, _raw=True)
 
 
 def _chain_witness(field, pairs, pairing_values):

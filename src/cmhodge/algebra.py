@@ -21,12 +21,7 @@ from fractions import Fraction
 
 from .cmfield import basis_pos
 from .cyclotomic import CyclotomicNumber
-from .errors import (
-    ConductorMismatchError,
-    DomainError,
-    NotNilpotentError,
-    UsageError,
-)
+from .errors import ConductorMismatchError, NotNilpotentError, UsageError
 from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError, _accumulate
 
 
@@ -90,14 +85,10 @@ class AlgebraElement:
 
     def coefficient(self, i, j):
         """Coefficient of X_{i,j}, folding through the identification."""
-        n = self.field.n
-        canon = canonical_root_index(n, i, j)
-        c = self.coeffs.get(canon)
+        c = self.coeffs.get(canonical_root_index(self.field.n, i, j))
         if c is None:
             return CyclotomicNumber.zero(self.field.working_conductor)
-        if canon == (i, j):
-            return c
-        return c * _ratio(self.field, *canon)
+        return _fold(self.field, i, j, c)[1]  # folding by +-1 is its own inverse
 
     def _check_compatible(self, other):
         if self.field != other.field:
@@ -141,17 +132,16 @@ class AlgebraElement:
     # -- matrix realization ---------------------------------------------
 
     def entries(self):
-        """Sparse 2n x 2n realization: {(row, col): coefficient} on signed indices."""
+        """Sparse 2n x 2n realization: {(row, col): coefficient} on signed indices.
+
+        One rule covers every X_{i,j} = E_{i,j} + ratio(i, j) E_{-j,-i}: with
+        ratio(i, i) = -1 and ratio(i, -i) = 1 it gives X_{i,i} = E_{i,i} - E_{-i,-i}
+        and X_{i,-i} = 2 E_{i,-i}.
+        """
         out = {}
         for (i, j), c in self.coeffs.items():
-            if i == j:
-                _accumulate(out, (i, i), c)
-                _accumulate(out, (-i, -i), -c)
-            elif j == -i:
-                _accumulate(out, (i, -i), c + c)
-            else:
-                _accumulate(out, (i, j), c)
-                _accumulate(out, (-j, -i), c * _ratio(self.field, i, j))
+            _accumulate(out, (i, j), c)
+            _accumulate(out, (-j, -i), c * _ratio(self.field, i, j))
         return out
 
     def vector(self, coord_of):
@@ -179,7 +169,7 @@ def _fold_coeffs(field, coeffs):
     out = {}
     for (i, j), c in coeffs.items():
         for k in (i, j):
-            if not isinstance(k, int) or k == 0 or abs(k) > n:
+            if type(k) is not int or k == 0 or abs(k) > n:
                 raise UsageError(f"signed index {k!r} is out of range for n={n}")
         if isinstance(c, (int, Fraction)):
             c = CyclotomicNumber.from_rational(M, c)
@@ -187,11 +177,16 @@ def _fold_coeffs(field, coeffs):
             raise ConductorMismatchError(
                 f"coefficient conductor {c.conductor} does not match the field's {M}"
             )
-        canon = canonical_root_index(n, i, j)
-        if canon != (i, j):
-            c = c * _ratio(field, i, j)
-        _accumulate(out, canon, c)
+        _accumulate(out, *_fold(field, i, j, c))
     return out
+
+
+def _fold(field, i, j, c):
+    """(canonical index, coefficient) of c X_{i,j}, by X_{-j,-i} = ratio(i, j) X_{i,j}."""
+    canon = canonical_root_index(field.n, i, j)
+    if canon == (i, j):
+        return canon, c
+    return canon, c * _ratio(field, i, j)
 
 
 def element_from_coeffs(field, coeffs):
@@ -211,53 +206,6 @@ def root_vector(field, i, j):
 def cartan_elements(field):
     """The n diagonal basis vectors X_{k,k} = E_{k,k} - E_{-k,-k}."""
     return [root_vector(field, k, k) for k in range(1, field.n + 1)]
-
-
-def element_from_entries(field, entries):
-    """Rebuild an element from its sparse realization, checking membership.
-
-    The symplectic condition forces entry(-j, -i) = ratio(i, j) * entry(i, j)
-    for every off-diagonal pair and entry(-i, -i) = -entry(i, i) on the
-    diagonal; any mismatch means the matrix is outside the algebra.
-    """
-    n = field.n
-    coeffs = {}
-    seen = set()
-    for (a, b), c in entries.items():
-        if (a, b) in seen:
-            continue
-        if a == b:
-            partner = (-a, -a)
-            seen.add((a, b))
-            seen.add(partner)
-            mate = entries.get(partner, CyclotomicNumber.zero(field.working_conductor))
-            if mate != -c:
-                raise DomainError(
-                    f"diagonal entries at {a} break the symplectic pairing",
-                    reason="not-in-algebra",
-                )
-            k = a if a > 0 else -a
-            coeffs[(k, k)] = c if a > 0 else -c
-        elif b == -a:
-            seen.add((a, b))
-            coeffs[(a, -a)] = c / 2
-        else:
-            partner = (-b, -a)
-            seen.add((a, b))
-            seen.add(partner)
-            mate = entries.get(partner, CyclotomicNumber.zero(field.working_conductor))
-            if mate != c * _ratio(field, a, b):
-                raise DomainError(
-                    f"entries at {(a, b)} and {partner} break the symplectic pairing",
-                    reason="not-in-algebra",
-                )
-            canon = canonical_root_index(n, a, b)
-            if canon == (a, b):
-                coeffs[canon] = c
-            else:
-                coeffs[canon] = mate
-    coeffs = {ij: c for ij, c in coeffs.items() if c}
-    return AlgebraElement(field, coeffs, _raw=True)
 
 
 def element_from_json(obj):
@@ -360,10 +308,7 @@ def galois_act_element(field, perm, v):
         cc = c if exp is None else c.galois(exp)
         if factor is not None:
             cc = cc * factor[i] * cofactor[j]
-        canon = canonical_root_index(field.n, ii, jj)
-        if canon != (ii, jj):
-            cc = cc * _ratio(field, ii, jj)
-        _accumulate(out, canon, cc)
+        _accumulate(out, *_fold(field, ii, jj, cc))
     return AlgebraElement(field, out, _raw=True)
 
 
@@ -386,29 +331,36 @@ def reynolds_average(field, v):
 # -- bracket and subalgebras -------------------------------------------
 
 
-def _mat_mult(p, q):
-    rows = {}
-    for (a, b), x in q.items():
-        rows.setdefault(a, []).append((b, x))
-    acc = {}
-    for (a, b), x in p.items():
-        hits = rows.get(b)
-        if not hits:
-            continue
-        for c, y in hits:
-            _accumulate(acc, (a, c), x * y)
-    return acc
-
-
 def bracket(u, v):
-    """The commutator [u, v], computed on realizations and folded back."""
+    """The commutator [u, v], from the structure constants of the X basis.
+
+    For any signed indices (the classical algebra C_n in its matrix-unit
+    basis; Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, 1.2)
+
+        [X_ab, X_cd] = [b = c] X_ad - [d = a] X_cb
+                       + [d = -b] ratio(c, d) X_{a,-c} + [c = -a] ratio(a, b) X_{-b,d},
+
+    so a term X_ab of u meets only the terms of v whose first index is b or
+    -a, or whose second index is a or -b.
+    """
     u._check_compatible(v)
-    pu, pv = u.entries(), v.entries()
-    uv = _mat_mult(pu, pv)
-    vu = _mat_mult(pv, pu)
-    for key, x in vu.items():
-        _accumulate(uv, key, -x)
-    return element_from_entries(u.field, uv)
+    field = u.field
+    by_first, by_second = {}, {}
+    for (c, d), y in v.coeffs.items():
+        by_first.setdefault(c, []).append((d, y))
+        by_second.setdefault(d, []).append((c, y))
+    out = {}
+    for (a, b), x in u.coeffs.items():
+        for d, y in by_first.get(b, ()):
+            _accumulate(out, *_fold(field, a, d, x * y))
+        for c, y in by_second.get(a, ()):
+            _accumulate(out, *_fold(field, c, b, -(x * y)))
+        for c, y in by_second.get(-b, ()):
+            _accumulate(out, *_fold(field, a, -c, x * y * _ratio(field, c, -b)))
+        for d, y in by_first.get(-a, ()):
+            _accumulate(out, *_fold(field, -b, d, x * y * _ratio(field, a, b)))
+    return AlgebraElement(field, out, _raw=True)
 
 
 def _mat_vec(cols, vec):

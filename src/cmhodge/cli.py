@@ -156,15 +156,23 @@ def _json_text(obj, indent="\n"):
 
 
 def _emit(payload, args):
+    """Write the document to --output, if given, then to stdout.
+
+    The file comes first, so an unwritable path raises ``UsageError`` before
+    stdout holds anything.
+    """
     text = _json_text(payload) + "\n"
-    sys.stdout.write(text)
-    out_path = getattr(args, "output", None)
+    out_path = args.output
     if out_path:
         base = os.environ.get("CMHODGE_OUTPUT_DIR", "")
         if base and not os.path.isabs(out_path):
             out_path = os.path.join(base, out_path)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}", reason="unwritable-output")
+    sys.stdout.write(text)
 
 
 def _envelope(command, result):
@@ -389,15 +397,23 @@ def _parser():
     return build_parser()
 
 
+def _error_document(exc):
+    return {"schema_version": SCHEMA_VERSION, "error": {"reason": exc.reason, "message": str(exc)}}
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        payload = args.fn(args)
+        payload, code = args.fn(args), 0
     except CMHodgeError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"reason": exc.reason, "message": str(exc)}}, args)
+        payload, code = _error_document(exc), exc.exit_code
+    try:
+        _emit(payload, args)
+    except UsageError as exc:  # --output cannot be written; report that on stdout alone
+        args.output = None
+        _emit(_error_document(exc), args)
         return exc.exit_code
-    _emit(payload, args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m

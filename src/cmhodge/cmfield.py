@@ -611,15 +611,28 @@ def field_from_json(obj):
         raise UsageError("field JSON needs a 'flavor'")
     if obj["flavor"] == "cyclotomic":
         m = obj.get("conductor")
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise UsageError("cyclotomic field JSON needs an integer 'conductor'")
         return build_cyclotomic_cm(m)
     if obj["flavor"] == "abstract":
         for key in ("labels", "generators", "conjugation"):
             if key not in obj:
                 raise UsageError(f"abstract field JSON needs {key!r}")
-        return build_abstract_cm(obj["labels"], obj["generators"], obj["conjugation"])
+        labels, generators, conjugation = obj["labels"], obj["generators"], obj["conjugation"]
+        perms = generators if isinstance(generators, list) else [generators]
+        if not all(_is_label_list(x) for x in [labels, conjugation, *perms]):
+            raise UsageError(
+                "abstract field JSON needs 'labels', 'conjugation' and every generator "
+                "as a list of string or integer labels",
+                reason="bad-field",
+            )
+        return build_abstract_cm(labels, generators, conjugation)
     raise UsageError(f"unknown field flavor {obj['flavor']!r}")
+
+
+def _is_label_list(x):
+    """A JSON list of labels: strings, or ints that are not booleans."""
+    return isinstance(x, list) and all(isinstance(lab, str) or type(lab) is int for lab in x)
 
 
 def oriented_to_json(field):

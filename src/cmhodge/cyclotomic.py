@@ -87,6 +87,9 @@ def format_fraction(q):
 
 
 def parse_fraction(text):
+    """A rational from a JSON literal: a string such as "3/4", or an int (not a bool)."""
+    if not isinstance(text, str) and type(text) is not int:
+        raise UsageError(f"malformed rational literal {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -60,7 +60,7 @@ def circulant_matrix(spec):
 def circulant_rank(spec):
     """Rank via the gcd of the symbol polynomial with x^p - 1."""
     p = spec.size
-    f = Poly(spec.entries)
+    f = Poly._make(spec.entries)
     g = poly_gcd(f, Poly._make((-1,) + (0,) * (p - 1) + (1,)))  # x^p - 1
     return p - g.degree if not f.is_zero() else 0
 

@@ -16,7 +16,6 @@ from cmhodge import (
     canonical_root_index,
     cartan_elements,
     element_from_coeffs,
-    element_from_entries,
     element_from_json,
     enumerate_orientations,
     galois_act_element,
@@ -29,7 +28,7 @@ from cmhodge import (
     zero_element,
 )
 from cmhodge.algebra import _ratio
-from conftest import abstract_z6, first_oriented
+from conftest import abstract_z6, first_oriented, reference_bracket, reference_from_entries
 
 
 def test_default_polarization_signs(oriented7):
@@ -106,7 +105,7 @@ def test_entries_round_trip(oriented7):
         + root_vector(oriented7, 2, -2)
         + root_vector(oriented7, 3, 3) * 5
     )
-    assert element_from_entries(oriented7, v.entries()) == v
+    assert reference_from_entries(oriented7, v.entries()) == v
 
 
 def test_tampered_entries_rejected(oriented7):
@@ -114,14 +113,14 @@ def test_tampered_entries_rejected(oriented7):
     bad = dict(good)
     bad[(-3, -2)] = -bad[(-3, -2)]
     with pytest.raises(DomainError) as err:
-        element_from_entries(oriented7, bad)
+        reference_from_entries(oriented7, bad)
     assert err.value.reason == "not-in-algebra"
 
     diag = root_vector(oriented7, 1, 1).entries()
     diag_bad = dict(diag)
     diag_bad[(-1, -1)] = diag_bad[(1, 1)]
     with pytest.raises(DomainError):
-        element_from_entries(oriented7, diag_bad)
+        reference_from_entries(oriented7, diag_bad)
 
 
 def test_element_json_round_trip(oriented7):
@@ -433,3 +432,76 @@ def test_action_rejects_foreign_elements(oriented7):
     v = root_vector(other, 1, 2)
     with pytest.raises(UsageError):
         galois_act_element(oriented7, oriented7.sigma(3), v)
+
+
+# -- the structure-constant bracket against the matrix commutator ---------
+
+ROOT_PAIR_FIELDS = [(7, (1, 2, 2, 1)), (12, (1, 1, 1, 1)), (16, (1, 3, 3, 1))]
+
+
+@pytest.mark.parametrize("m,hodge", ROOT_PAIR_FIELDS, ids=[f"m{m}" for m, _ in ROOT_PAIR_FIELDS])
+def test_bracket_matches_the_matrix_commutator_on_every_pair_of_root_vectors(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    roots = [root_vector(field, i, j) for i, j in all_root_indices(field.n)]
+    for u, v in itertools.product(roots, repeat=2):
+        assert bracket(u, v) == reference_bracket(u, v), (u, v)
+
+
+def _random_element(rng, field, terms):
+    """A sum of terms c X_{i,j} on any signed indices, c = zeta^k * a / b."""
+    M = field.working_conductor
+    signed = field.signed_indices()
+    coeffs = {}
+    for _ in range(terms):
+        c = CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-3, -1, 1, 2))
+        coeffs[(rng.choice(signed), rng.choice(signed))] = c / rng.choice((1, 2, 5))
+    return element_from_coeffs(field, coeffs)
+
+
+RANDOM_PAIR_FIELDS = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2))]
+
+
+@pytest.mark.parametrize("m,hodge", RANDOM_PAIR_FIELDS, ids=[f"m{m}" for m, _ in RANDOM_PAIR_FIELDS])
+def test_bracket_matches_the_matrix_commutator_on_random_pairs(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    rng = random.Random(f"bracket-{m}")
+    nonzero = 0
+    for _ in range(200):
+        u = _random_element(rng, field, rng.randrange(1, 17))
+        v = _random_element(rng, field, rng.randrange(1, 17))
+        z = bracket(u, v)
+        assert z == reference_bracket(u, v)
+        nonzero += not z.is_zero()
+    assert nonzero > 150
+
+
+@pytest.mark.parametrize("m,hodge", NILPOTENT_LADDER, ids=[f"m{m}" for m, _ in NILPOTENT_LADDER])
+def test_bracket_matches_the_matrix_commutator_on_cartan_and_witness(m, hodge):
+    from cmhodge.acceptance import rational_nilpotent_witness
+
+    field = first_oriented(m, 3, hodge)
+    w = rational_nilpotent_witness(field)
+    for h in cartan_elements(field):
+        assert bracket(h, w) == reference_bracket(h, w)
+        assert bracket(w, h) == reference_bracket(w, h)
+        assert not bracket(h, w).is_zero()
+
+
+def test_bracket_matches_the_matrix_commutator_on_the_abstract_field():
+    galois = abstract_z6()
+    field = validate_orientation(
+        galois,
+        Orientation(
+            3,
+            {"a": (3, 0), "b": (2, 1), "c": (2, 1),
+             "A": (0, 3), "B": (1, 2), "C": (1, 2)},
+        ),
+    )
+    roots = [root_vector(field, i, j) for i, j in all_root_indices(field.n)]
+    for u, v in itertools.product(roots, repeat=2):
+        assert bracket(u, v) == reference_bracket(u, v)
+    rng = random.Random("bracket-z6")
+    for _ in range(50):
+        u = _random_element(rng, field, rng.randrange(1, 7))
+        v = _random_element(rng, field, rng.randrange(1, 7))
+        assert bracket(u, v) == reference_bracket(u, v)

@@ -269,17 +269,34 @@ def test_partition_of_witness(capsys, witness_file):
 @pytest.mark.parametrize("command", ["partition", "closure"])
 @pytest.mark.parametrize(
     "defect,reason",
-    [("no-coeff", "bad-element"), ("terms-not-a-list", "bad-element"), ("coeffs-not-a-list", "usage-error")],
+    [
+        ("no-coeff", "bad-element"),
+        ("terms-not-a-list", "bad-element"),
+        ("coeffs-not-a-list", "usage-error"),
+        # a coefficient literal is a string or an int, nothing else
+        ("coeff-null", "usage-error"),
+        ("coeff-list", "usage-error"),
+        ("coeff-float", "usage-error"),
+        ("coeff-bool", "usage-error"),
+        # a term index is an int, not a boolean
+        ("index-bool", "usage-error"),
+    ],
 )
 def test_malformed_element_is_usage_error(capsys, tmp_path, witness_file, command, defect, reason):
     with open(witness_file, encoding="utf-8") as fh:
         doc = json.load(fh)
+    literals = {"coeff-null": None, "coeff-list": [1], "coeff-float": 1.5, "coeff-bool": True}
     if defect == "no-coeff":
         doc["terms"] = [{k: v for k, v in t.items() if k != "coeff"} for t in doc["terms"]]
     elif defect == "terms-not-a-list":
         doc["terms"] = 5
-    else:
+    elif defect == "coeffs-not-a-list":
         doc["terms"][0]["coeff"]["coeffs"] = 5
+    elif defect == "index-bool":
+        assert doc["terms"][0]["i"] == 1  # so True would read as the same index
+        doc["terms"][0]["i"] = True
+    else:
+        doc["terms"][0]["coeff"]["coeffs"][0] = literals[defect]
     path = tmp_path / "element.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, command, "--element", str(path))
@@ -436,6 +453,46 @@ def test_error_document_output_copy(capsys, tmp_path):
     code = main(["--output", str(path), "field", "--conductor", "10"])
     assert code == 3
     assert path.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    code, doc = run_cli(capsys, "--output", str(path), "field", "--conductor", "7")
+    assert code == 2
+    assert doc["error"]["reason"] == "unwritable-output"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["labels-not-a-list", "generator-not-a-list", "list-labels", "conjugation-not-a-list", "bool-labels"],
+)
+def test_malformed_abstract_field_is_a_usage_error(capsys, tmp_path, defect):
+    doc = field_to_json(abstract_z6())
+    if defect == "labels-not-a-list":
+        doc["labels"] = 5
+    elif defect == "generator-not-a-list":
+        doc["generators"] = [5]
+    elif defect == "list-labels":
+        doc["labels"] = [[lab] for lab in doc["labels"]]
+    elif defect == "conjugation-not-a-list":
+        doc["conjugation"] = "ABCabc"
+    else:
+        doc = {"flavor": "abstract", "labels": [True, False], "generators": [], "conjugation": [False, True]}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "field", "--abstract-file", str(path))
+    assert code == 2
+    assert out["error"]["reason"] == "bad-field"
+
+
+def test_boolean_conductor_in_field_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"flavor": "cyclotomic", "conductor": True}))
+    code, doc = run_cli(capsys, "field", "--abstract-file", str(path))
+    assert code == 2
+    assert doc["error"]["reason"] == "usage-error"
 
 
 def test_one_parser_serves_interleaved_calls(capsys, monkeypatch, witness_file):

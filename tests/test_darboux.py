@@ -3,7 +3,9 @@
 The closed-form descent in ``cmhodge.acceptance`` is checked against the
 route it replaced, kept here as the reference: average coordinate vectors
 over the whole group, keep the first 2n that are independent over Q(i),
-and run symplectic Gram-Schmidt on them in Q(zeta_M).
+and run symplectic Gram-Schmidt on them in Q(zeta_M).  The witness, read
+at the canonical root indices only, is checked against the full (2n)^2
+matrix assembly read back with the membership check.
 """
 
 import itertools
@@ -17,13 +19,14 @@ from cmhodge.acceptance import (
     _fixed_vectors,
     _gram_matrix,
     _ramanujan_sum,
+    rational_nilpotent_examples,
     rational_nilpotent_witness,
 )
 from cmhodge.algebra import _gauge_units
 from cmhodge.cmfield import GaloisCMData
 from cmhodge.errors import TheoremViolationError
-from cmhodge.linalg import rank_rational
-from conftest import first_oriented
+from cmhodge.linalg import _accumulate, rank_rational
+from conftest import first_oriented, reference_from_entries
 
 LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))]
 ORACLE_LADDER = LADDER[:3] + [(15, (1, 3, 3, 1)), (16, (1, 3, 3, 1))]
@@ -118,6 +121,56 @@ def _reference_pairs(field, averages):
             reduced.append({a: z[a] - zv * u[a] + zu * v[a] for a in idx})
         pool = reduced
     return tuple(pairs), pairing_values
+
+
+def _full_rank_two_entries(field, pairing_values, s, t):
+    """Reference: all (2n)^2 entries of x -> s*Q(t, x) + t*Q(s, x)."""
+    idx = field.signed_indices()
+    entries = {}
+    for a, b in itertools.product(idx, repeat=2):
+        val = (s[a] * t[-b] + t[a] * s[-b]) * pairing_values[-b]
+        if val:
+            entries[(a, b)] = val
+    return entries
+
+
+def _reference_examples(field):
+    """Reference: the six named nilpotents as full gauge matrices, read back with the membership check."""
+    pairs, pairing_values = _fixed_symplectic_pairs(field)
+
+    def rank_two(s, t):
+        return _full_rank_two_entries(field, pairing_values, s, t)
+
+    (u1, v1), (u2, v2) = pairs[0], pairs[1]
+    open_chain = {}
+    for a in range(field.n - 1):
+        for key, val in rank_two(pairs[a][0], pairs[a + 1][1]).items():
+            _accumulate(open_chain, key, -val)
+    full_chain = dict(open_chain)
+    for key, val in rank_two(pairs[-1][0], pairs[-1][0]).items():
+        _accumulate(full_chain, key, val / 2)
+    matrices = [
+        ("isotropic-uu", rank_two(u1, u2)),
+        ("isotropic-uv", rank_two(u1, v2)),
+        ("isotropic-vv", rank_two(v1, v2)),
+        ("square-zero", rank_two(u1, u1)),
+        ("half-chain", open_chain),
+        ("full-chain", full_chain),
+    ]
+    d, dinv = _gauge_units(field)
+    return [
+        (name, reference_from_entries(field, {(a, b): dinv[a] * val * d[b] for (a, b), val in entries.items()}))
+        for name, entries in matrices
+    ]
+
+
+@pytest.mark.parametrize("m,hodge", ORACLE_LADDER, ids=[f"m{m}" for m, _ in ORACLE_LADDER])
+def test_witness_equals_the_full_matrix_assembly(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    expected = _reference_examples(field)
+    assert rational_nilpotent_examples(field) == expected
+    assert rational_nilpotent_witness(field) == expected[-1][1]
+    assert all(not v.is_zero() for _, v in expected)
 
 
 def test_pairs_form_a_darboux_basis(oriented):
