@@ -36,7 +36,13 @@ from .algebra import (
     reynolds_average,
     root_vector,
 )
-from .cmfield import build_cyclotomic_cm, enumerate_orientations, validate_orientation
+from .cmfield import (
+    build_cyclotomic_cm,
+    enumerate_orientations,
+    orientation_from_pick,
+    orientation_picks,
+    validate_orientation,
+)
 from .cyclotomic import CyclotomicNumber, euler_phi
 from .errors import DomainError, TheoremViolationError
 from .graphs import is_block_system, support_graph, trivial_partition_check
@@ -56,9 +62,10 @@ SCHEMA_VERSION = "1"
 
 
 def _first_oriented(m, weight, hodge):
+    """The oriented field of the first orientation enumerate_orientations would list."""
     galois = build_cyclotomic_cm(m)
-    orientation = enumerate_orientations(galois, weight, hodge)[0]
-    return validate_orientation(galois, orientation)
+    pairs, picks = orientation_picks(galois, weight, hodge)
+    return validate_orientation(galois, orientation_from_pick(weight, pairs, next(picks)))
 
 
 # -- constructive rational nilpotents -----------------------------------

@@ -21,10 +21,10 @@ from .acceptance import DEFAULT_SEED, SCHEMA_VERSION, rational_nilpotent_witness
 from .algebra import cartan_elements, element_from_json, generated_subalgebra, is_rational
 from .cmfield import (
     Orientation,
-    enumerate_orientations,
     field_from_json,
     field_to_json,
     grading_vector,
+    orientation_picks,
     oriented_to_json,
     validate_orientation,
 )
@@ -131,10 +131,13 @@ def _json_text(obj, indent="\n"):
     reaches its C encoder; this writer does the same work with one string
     join per container, so no chunk list of the whole document is built.
     Dict items are sorted by their original keys, then the keys are
-    stringified, as json does.
+    stringified, as json does.  An ``_OrientationListing`` writes itself, as
+    the list of its orientations' ``to_json`` dicts.
     """
     kind = type(obj)
     if kind not in _JSON_KINDS:
+        if kind is _OrientationListing:
+            return obj.json_text(indent)
         kind = _json_kind(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -150,9 +153,48 @@ def _json_text(obj, indent="\n"):
     if kind is dict:
         items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    # int items inline: the [p, q] pairs of an orientation listing are most of the calls
+    # int items inline: int vectors, such as nondeg's grading and orbit vectors, are most lists
     items = [int.__repr__(value) if type(value) is int else _json_text(value, inner) for value in obj]
     return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+class _OrientationListing:
+    """The orientations of ``orient enumerate``, held as the picks of ``orientation_picks``.
+
+    ``_json_text`` writes it as it would write the list of the orientations'
+    ``to_json`` dicts.  Pick t of a pair fixes the items of its two labels,
+    ``"a": [w - t, t]`` and ``"-a": [t, w - t]``, so each label's item is
+    rendered once for each t, at the listing's indent, and an orientation is
+    its labels' items joined in the sorted order of their ``str`` forms
+    (which ``GaloisCMData`` keeps distinct).
+    """
+
+    def __init__(self, weight, pairs, picks):
+        self.weight, self.pairs, self.picks = weight, pairs, picks
+
+    def json_text(self, indent):
+        w = self.weight
+        in_list = indent + "  "  # an orientation
+        in_orientation = in_list + "  "  # "assignment" and "weight"
+        in_assignment = in_orientation + "  "  # one label's item
+        in_pair = in_assignment + "  "  # p and q
+        slots = []  # (key, pair index, the label's item for t = 0..w)
+        for k, pair in enumerate(self.pairs):
+            for side, label in enumerate(pair):
+                key = str(label)
+                head = _json_key(key) + ": [" + in_pair
+                items = []
+                for t in range(w + 1):
+                    p, q = (w - t, t) if side == 0 else (t, w - t)
+                    items.append(f"{head}{p},{in_pair}{q}{in_assignment}]")
+                slots.append((key, k, items))
+        slots.sort(key=lambda slot: slot[0])
+        slots = [(k, items) for _, k, items in slots]
+        head = "{" + in_orientation + '"assignment": {' + in_assignment
+        tail = in_orientation + "}," + in_orientation + f'"weight": {w}' + in_list + "}"
+        sep = "," + in_assignment
+        texts = [head + sep.join([items[pick[k]] for k, items in slots]) + tail for pick in self.picks]
+        return "[" + in_list + ("," + in_list).join(texts) + indent + "]"
 
 
 def _emit(payload, args):
@@ -198,14 +240,15 @@ def _cmd_field(args):
 def _cmd_orient_enumerate(args):
     galois = _load_galois(args)
     hodge = _parse_hodge(args.hodge)
-    orientations = enumerate_orientations(galois, args.weight, hodge)
+    pairs, picks = orientation_picks(galois, args.weight, hodge)
+    listing = _OrientationListing(args.weight, pairs, list(picks))
     return _envelope(
         "orient-enumerate",
         {
-            "count": len(orientations),
+            "count": len(listing.picks),
             "weight": args.weight,
             "hodge_numbers": list(hodge),
-            "orientations": [o.to_json() for o in orientations],
+            "orientations": listing,
         },
     )
 

@@ -25,8 +25,8 @@ from .errors import (
 )
 
 GROUP_ENUMERATION_CAP = 10_000
-# Listing costs about 6 KB of memory per orientation at n = 8 pairs; the
-# sweep benchmark lists 7168.
+# Listing costs about 3 KB of memory per orientation at n = 8 pairs, copies
+# of its 1 KB of text; the sweep benchmark lists 7168.
 ORIENTATION_ENUMERATION_CAP = 50_000
 
 
@@ -51,6 +51,11 @@ class GaloisCMData:
             )
         if len(set(labels)) != len(labels):
             raise UsageError("labels must be distinct")
+        if len({str(lab) for lab in labels}) != len(labels):
+            raise UsageError(
+                "labels must stay distinct as JSON keys, which are their str() forms",
+                reason="bad-field",
+            )
         self.labels = labels
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self.generators = tuple(self._check_perm(g) for g in generators)
@@ -480,21 +485,23 @@ def orientation_count(hodge_numbers):
     return count << n
 
 
-def enumerate_orientations(galois, weight, hodge_numbers):
-    """All orientations with the given Hodge numbers, in lexicographic order.
+def orientation_picks(galois, weight, hodge_numbers):
+    """Check a listing of orientations, then return its pairs and its picks.
 
     hodge_numbers lists the multiplicities (h^{weight,0}, ..., h^{0,weight});
-    it must be symmetric and sum to the number of embeddings.  Each conjugate
-    pair independently picks an ordered bidegree class for its first member,
-    so the output order is the lexicographic order of those picks with
-    classes sorted by descending p.
+    it must be symmetric, of nonnegative ints, and sum to the number of
+    embeddings.  More than ORIENTATION_ENUMERATION_CAP orientations (by the
+    closed-form count) raise EnumerationCapError.  Every check runs before
+    this returns.
 
+    ``pairs[k - 1]`` is the k-th conjugate pair: its member that comes first
+    in label order, then the conjugate.  ``picks`` iterates over tuples
+    (t_1, ..., t_n) in lexicographic order; pick t_k gives the first member of
+    pair k the bidegree (weight - t_k, t_k) and its conjugate (t_k, weight - t_k).
     The picks are built depth first, pair by pair with t = 0..weight, and a
     pick is skipped once its class c = min(t, weight - t) has used up its
     budget h_c.  The budgets sum to the number of pairs, so every partial
-    pick extends to an orientation.  More than ORIENTATION_ENUMERATION_CAP
-    orientations (by the closed-form count) raise EnumerationCapError
-    before any is built.
+    pick extends to an orientation.
     """
     _check_odd_weight(weight)
     h = list(hodge_numbers)
@@ -516,16 +523,29 @@ def enumerate_orientations(galois, weight, hodge_numbers):
         raise EnumerationCapError(
             f"{count} orientations exceed the enumeration cap of {ORIENTATION_ENUMERATION_CAP}"
         )
-    classes = [(weight - t, t) for t in range(weight + 1)]
-    out = []
-    for combo in _budgeted_picks(n, weight, h[: (weight + 1) // 2]):
-        assignment = {}
-        for k, t in enumerate(combo, start=1):
-            p, q = classes[t]
-            assignment[index_to_label[k]] = (p, q)
-            assignment[index_to_label[-k]] = (q, p)
-        out.append(Orientation(weight, assignment))
-    return out
+    pairs = tuple((index_to_label[k], index_to_label[-k]) for k in range(1, n + 1))
+    return pairs, _budgeted_picks(n, weight, h[: (weight + 1) // 2])
+
+
+def orientation_from_pick(weight, pairs, pick):
+    """The orientation that ``pick`` names over the ``pairs`` of orientation_picks."""
+    assignment = {}
+    for (lab, partner), t in zip(pairs, pick):
+        assignment[lab] = (weight - t, t)
+        assignment[partner] = (t, weight - t)
+    return Orientation(weight, assignment)
+
+
+def enumerate_orientations(galois, weight, hodge_numbers):
+    """All orientations with the given Hodge numbers, in lexicographic order.
+
+    Each conjugate pair independently picks an ordered bidegree class for its
+    first member, so the output order is the lexicographic order of those
+    picks with classes sorted by descending p; orientation_picks makes the
+    checks and the picks.
+    """
+    pairs, picks = orientation_picks(galois, weight, hodge_numbers)
+    return [orientation_from_pick(weight, pairs, pick) for pick in picks]
 
 
 def _budgeted_picks(n, weight, budget, picks=()):

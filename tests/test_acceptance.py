@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from cmhodge.acceptance import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
+from cmhodge import build_cyclotomic_cm, enumerate_orientations, validate_orientation
+from cmhodge.acceptance import DEFAULT_SEED, RUNTIME_BUDGETS, _first_oriented, run_all
 
 LABELS = [
     (1, "circulant-rank-equivalence"),
@@ -57,3 +58,15 @@ def test_criterion(battery, timings, number, label):
 
 def test_overall_flag(battery):
     assert battery["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "m,weight,hodge",
+    [(7, 3, (1, 2, 2, 1)), (9, 3, (1, 2, 2, 1)), (11, 3, (2, 3, 3, 2)), (16, 3, (1, 3, 3, 1)), (13, 5, (1, 1, 4, 4, 1, 1))],
+)
+def test_first_oriented_is_the_first_listed_orientation(m, weight, hodge):
+    galois = build_cyclotomic_cm(m)
+    listed = enumerate_orientations(galois, weight, hodge)[0]
+    field = _first_oriented(m, weight, hodge)
+    assert field == validate_orientation(galois, listed)
+    assert list(field.orientation.assignment) == list(listed.assignment)

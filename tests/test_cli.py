@@ -18,8 +18,9 @@ from cmhodge import (
     validate_orientation,
     zero_element,
 )
-from cmhodge import cli, graphs
-from cmhodge.acceptance import rational_nilpotent_witness
+from cmhodge import build_abstract_cm, build_cyclotomic_cm, cli, enumerate_orientations, graphs
+from cmhodge.acceptance import SCHEMA_VERSION, rational_nilpotent_witness
+from cmhodge.cmfield import orientation_from_pick
 from cmhodge.cli import main
 from conftest import abstract_z6
 
@@ -33,21 +34,42 @@ ORIENTATION_7 = json.dumps(
 )
 
 
+def assert_same_text(got, expected):
+    """Fail with the first differing line; pytest's own diff of a megabyte listing does not finish."""
+    if got == expected:
+        return
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    for i, (a, b) in enumerate(zip(got_lines, expected_lines)):
+        if a != b:
+            pytest.fail(f"line {i + 1}: got {a!r}, expected {b!r}")
+    pytest.fail(f"got {len(got_lines)} lines, expected {len(expected_lines)}")
+
+
+def _expand_listing(obj):
+    """json.dumps' fallback: an orient enumerate listing, as its orientations' to_json dicts."""
+    if type(obj) is not cli._OrientationListing:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return [orientation_from_pick(obj.weight, obj.pairs, pick).to_json() for pick in obj.picks]
+
+
 @pytest.fixture(autouse=True)
 def documents_match_json_dumps(monkeypatch):
-    """Every document of these tests, and its --output copy, is json.dumps(indent=2, sort_keys=True)."""
+    """Every document of these tests, and its --output copy, is json.dumps(indent=2, sort_keys=True).
+
+    An orient enumerate listing is expanded through ``Orientation.to_json``.
+    """
     emit = cli._emit
 
     def checked(payload, args):
-        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(payload, indent=2, sort_keys=True, default=_expand_listing) + "\n"
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             emit(payload, args)
-        assert buf.getvalue() == expected
+        assert_same_text(buf.getvalue(), expected)
         if args.output:
             path = os.path.join(os.environ.get("CMHODGE_OUTPUT_DIR", ""), args.output)
             with open(path, encoding="utf-8") as fh:
-                assert fh.read() == expected
+                assert_same_text(fh.read(), expected)
         sys.stdout.write(buf.getvalue())
 
     monkeypatch.setattr(cli, "_emit", checked)
@@ -98,6 +120,104 @@ def test_orient_enumerate_past_the_cap_exits_3_at_once(capsys):
     assert code == 3
     assert doc["error"]["reason"] == "enumeration-cap-exceeded"
     assert doc["error"]["message"].startswith("16400384 orientations exceed")
+
+
+def _int_labelled_z12():
+    """Cyclic order-12 datum on int labels 0..11, conjugation x -> x + 6; "10" sorts before "2"."""
+    labels = tuple(range(12))
+    return build_abstract_cm(labels, ([(x + 1) % 12 for x in labels],), [(x + 6) % 12 for x in labels])
+
+
+ENUMERATIONS = [
+    (5, 1, (2, 2)),
+    (5, 3, (1, 1, 1, 1)),
+    (7, 1, (3, 3)),
+    (7, 3, (1, 2, 2, 1)),
+    (7, 5, (1, 1, 1, 1, 1, 1)),
+    (8, 3, (1, 1, 1, 1)),
+    (9, 3, (1, 2, 2, 1)),
+    (9, 5, (1, 0, 2, 2, 0, 1)),
+    (12, 1, (2, 2)),
+    (12, 3, (0, 2, 2, 0)),
+    (13, 3, (2, 4, 4, 2)),
+    (13, 5, (1, 1, 4, 4, 1, 1)),
+    (17, 1, (8, 8)),
+    (17, 3, (2, 6, 6, 2)),
+    ("z6", 1, (3, 3)),
+    ("z6", 3, (1, 2, 2, 1)),
+    ("z6", 5, (1, 1, 1, 1, 1, 1)),
+    ("z12", 1, (6, 6)),
+    ("z12", 3, (1, 5, 5, 1)),
+    ("z12", 5, (1, 1, 4, 4, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("field,weight,hodge", ENUMERATIONS)
+def test_orient_enumerate_equals_json_dumps_of_the_to_json_route(capsys, tmp_path, field, weight, hodge):
+    if field in ("z6", "z12"):
+        galois = abstract_z6() if field == "z6" else _int_labelled_z12()
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field_to_json(galois)), encoding="utf-8")
+        field_args = ["--abstract-file", str(path)]
+    else:
+        galois = build_cyclotomic_cm(field)
+        field_args = ["--conductor", str(field)]
+    orientations = [o.to_json() for o in enumerate_orientations(galois, weight, hodge)]
+    expected = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "command": "orient-enumerate",
+            "result": {
+                "count": len(orientations),
+                "weight": weight,
+                "hodge_numbers": list(hodge),
+                "orientations": orientations,
+            },
+        },
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
+    out = tmp_path / "listing.json"
+    code = main(["--output", str(out), "orient", "enumerate", *field_args,
+                 "--weight", str(weight), "--hodge", ",".join(map(str, hodge))])
+    assert code == 0
+    assert_same_text(capsys.readouterr().out, expected)
+    assert_same_text(out.read_text(encoding="utf-8"), expected)
+
+
+@pytest.mark.parametrize(
+    "argv,code,reason,message",
+    [
+        (["--conductor", "7", "--weight", "3", "--hodge", "1,2,1,2"], 2, "usage-error",
+         "Hodge numbers must be symmetric"),
+        (["--conductor", "7", "--weight", "3", "--hodge", "1,2,2"], 2, "usage-error",
+         "weight 3 needs 4 Hodge numbers, got 3"),
+        (["--conductor", "7", "--weight", "3", "--hodge", "2,2,2,2"], 2, "usage-error",
+         "Hodge numbers sum to 8, but the field has 6 embeddings"),
+        (["--conductor", "7", "--weight", "3", "--hodge=-1,4,4,-1"], 2, "usage-error",
+         "Hodge numbers must be nonnegative integers"),
+        (["--conductor", "7", "--weight", "2", "--hodge", "1,4,1"], 3, "odd-weight-required",
+         "odd weight required, got 2"),
+        (["--conductor", "17", "--weight", "5", "--hodge", "1,3,4,4,3,1"], 3, "enumeration-cap-exceeded",
+         "71680 orientations exceed the enumeration cap of 50000"),
+    ],
+)
+def test_orient_enumerate_error_documents(capsys, argv, code, reason, message):
+    got, doc = run_cli(capsys, "orient", "enumerate", *argv)
+    assert got == code
+    assert doc == {"schema_version": SCHEMA_VERSION, "error": {"reason": reason, "message": message}}
+
+
+def test_labels_colliding_as_json_keys_are_a_usage_error(capsys, tmp_path):
+    # 1 and "1" are distinct labels but the same key "1" of an orientation's assignment
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(
+        {"flavor": "abstract", "labels": [1, "1"], "generators": [[1, "1"]], "conjugation": ["1", 1]}
+    ), encoding="utf-8")
+    for argv in (["field"], ["orient", "enumerate", "--weight", "1", "--hodge", "1,1"]):
+        code, doc = run_cli(capsys, *argv, "--abstract-file", str(path))
+        assert code == 2
+        assert doc["error"]["reason"] == "bad-field"
 
 
 def test_grading_command(capsys):

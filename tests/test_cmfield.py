@@ -109,6 +109,23 @@ def test_abstract_odd_label_count():
         build_abstract_cm((0, 1, 2), (), (1, 2, 0))
 
 
+def test_labels_must_stay_distinct_as_json_keys():
+    with pytest.raises(UsageError) as err:
+        build_abstract_cm((1, "1"), ((1, "1"),), ("1", 1))
+    assert err.value.reason == "bad-field"
+
+
+def test_orientation_picks_checks_before_it_returns():
+    galois = build_cyclotomic_cm(7)
+    with pytest.raises(UsageError):
+        cmfield.orientation_picks(galois, 3, (2, 2, 2, 2))
+    with pytest.raises(EnumerationCapError):
+        cmfield.orientation_picks(build_cyclotomic_cm(29), 3, (4, 10, 10, 4))
+    pairs, picks = cmfield.orientation_picks(galois, 3, (1, 2, 2, 1))
+    assert pairs == ((1, 6), (2, 5), (3, 4))
+    assert next(picks) == (0, 1, 1)
+
+
 def test_enumerate_orientations_counts():
     galois = build_cyclotomic_cm(7)
     assert len(enumerate_orientations(galois, 3, (1, 2, 2, 1))) == 24
