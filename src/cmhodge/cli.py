@@ -131,13 +131,10 @@ def _json_text(obj, indent="\n"):
     reaches its C encoder; this writer does the same work with one string
     join per container, so no chunk list of the whole document is built.
     Dict items are sorted by their original keys, then the keys are
-    stringified, as json does.  An ``_OrientationListing`` writes itself, as
-    the list of its orientations' ``to_json`` dicts.
+    stringified, as json does.
     """
     kind = type(obj)
     if kind not in _JSON_KINDS:
-        if kind is _OrientationListing:
-            return obj.json_text(indent)
         kind = _json_kind(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -158,43 +155,66 @@ def _json_text(obj, indent="\n"):
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
+def _json_pieces(obj, indent, pieces):
+    """Append ``_json_text(obj, indent)`` to ``pieces``, a dict key by key.
+
+    An ``_OrientationListing`` appends its fragments, so ``_emit``'s one join
+    is the only copy of a listing's text, not one copy per enclosing container.
+    """
+    kind = type(obj)
+    if kind is _OrientationListing:
+        obj.json_pieces(indent, pieces)
+    elif kind is dict and obj:
+        inner = indent + "  "
+        head = "{" + inner
+        for key, value in sorted(obj.items()):
+            pieces.append(head + _json_key(key) + ": ")
+            _json_pieces(value, inner, pieces)
+            head = "," + inner
+        pieces.append(indent + "}")
+    else:
+        pieces.append(_json_text(obj, indent))
+
+
 class _OrientationListing:
     """The orientations of ``orient enumerate``, held as the picks of ``orientation_picks``.
 
-    ``_json_text`` writes it as it would write the list of the orientations'
-    ``to_json`` dicts.  Pick t of a pair fixes the items of its two labels,
-    ``"a": [w - t, t]`` and ``"-a": [t, w - t]``, so each label's item is
-    rendered once for each t, at the listing's indent, and an orientation is
-    its labels' items joined in the sorted order of their ``str`` forms
-    (which ``GaloisCMData`` keeps distinct).
+    ``_json_pieces`` writes it as ``_json_text`` would write the list of the
+    orientations' ``to_json`` dicts.  Pick t of a pair fixes the items of its
+    two labels, ``"a": [w - t, t]`` and ``"-a": [t, w - t]``, so each label's
+    item is rendered once for each t, at the listing's indent, and an
+    orientation is its labels' items in the sorted order of their ``str``
+    forms (which ``GaloisCMData`` keeps distinct).  The items themselves are
+    the pieces, so no per-orientation text is built.
     """
 
     def __init__(self, weight, pairs, picks):
         self.weight, self.pairs, self.picks = weight, pairs, picks
 
-    def json_text(self, indent):
+    def json_pieces(self, indent, pieces):
         w = self.weight
         in_list = indent + "  "  # an orientation
         in_orientation = in_list + "  "  # "assignment" and "weight"
         in_assignment = in_orientation + "  "  # one label's item
         in_pair = in_assignment + "  "  # p and q
-        slots = []  # (key, pair index, the label's item for t = 0..w)
-        for k, pair in enumerate(self.pairs):
-            for side, label in enumerate(pair):
-                key = str(label)
-                head = _json_key(key) + ": [" + in_pair
-                items = []
-                for t in range(w + 1):
-                    p, q = (w - t, t) if side == 0 else (t, w - t)
-                    items.append(f"{head}{p},{in_pair}{q}{in_assignment}]")
-                slots.append((key, k, items))
-        slots.sort(key=lambda slot: slot[0])
-        slots = [(k, items) for _, k, items in slots]
+        labels = sorted((str(label), k, side) for k, pair in enumerate(self.pairs)
+                        for side, label in enumerate(pair))
+        slots = []  # (pair index, the label's item for t = 0..w, its separator first)
+        for n, (key, k, side) in enumerate(labels):
+            head = ("," + in_assignment if n else "") + _json_key(key) + ": [" + in_pair
+            items = []
+            for t in range(w + 1):
+                p, q = (w - t, t) if side == 0 else (t, w - t)
+                items.append(f"{head}{p},{in_pair}{q}{in_assignment}]")
+            slots.append((k, items))
         head = "{" + in_orientation + '"assignment": {' + in_assignment
         tail = in_orientation + "}," + in_orientation + f'"weight": {w}' + in_list + "}"
-        sep = "," + in_assignment
-        texts = [head + sep.join([items[pick[k]] for k, items in slots]) + tail for pick in self.picks]
-        return "[" + in_list + ("," + in_list).join(texts) + indent + "]"
+        opening, between = "[" + in_list + head, tail + "," + in_list + head
+        for pick in self.picks:
+            pieces.append(opening)
+            pieces += [items[pick[k]] for k, items in slots]
+            opening = between
+        pieces.append(tail + indent + "]")
 
 
 def _emit(payload, args):
@@ -203,7 +223,10 @@ def _emit(payload, args):
     The file comes first, so an unwritable path raises ``UsageError`` before
     stdout holds anything.
     """
-    text = _json_text(payload) + "\n"
+    pieces = []
+    _json_pieces(payload, "\n", pieces)
+    pieces.append("\n")
+    text = "".join(pieces)
     out_path = args.output
     if out_path:
         base = os.environ.get("CMHODGE_OUTPUT_DIR", "")

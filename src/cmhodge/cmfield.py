@@ -25,8 +25,8 @@ from .errors import (
 )
 
 GROUP_ENUMERATION_CAP = 10_000
-# Listing costs about 3 KB of memory per orientation at n = 8 pairs, copies
-# of its 1 KB of text; the sweep benchmark lists 7168.
+# Listing costs about 1.3 KB of memory per orientation at n = 8 pairs, most
+# of it the orientation's 1 KB of text; the sweep benchmark lists 7168.
 ORIENTATION_ENUMERATION_CAP = 50_000
 
 

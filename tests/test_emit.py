@@ -1,4 +1,4 @@
-"""The CLI's JSON writer against json.dumps(indent=2, sort_keys=True)."""
+"""The CLI's JSON writer, whole and in pieces, against json.dumps(indent=2, sort_keys=True)."""
 
 import enum
 import json
@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import pytest
 
-from cmhodge.cli import _json_text
+from cmhodge.cli import _json_pieces, _json_text
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -31,6 +31,12 @@ def _json_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _pieces_text(obj):
+    pieces = []
+    _json_pieces(obj, "\n", pieces)
+    return "".join(pieces)
+
+
 def _documents(keys):
     return st.recursive(
         SCALARS,
@@ -46,7 +52,7 @@ def _documents(keys):
 @settings(max_examples=200, database=None)
 @given(_documents(TEXT) | _documents(st.integers()))
 def test_writer_equals_json_dumps(obj):
-    assert _json_text(obj) == _json_dumps(obj)
+    assert _json_text(obj) == _pieces_text(obj) == _json_dumps(obj)
 
 
 @settings(max_examples=200, database=None)
@@ -58,8 +64,10 @@ def test_writer_fails_where_json_dumps_fails(obj):
     except TypeError:
         with pytest.raises(TypeError):
             _json_text(obj)
+        with pytest.raises(TypeError):
+            _pieces_text(obj)
     else:
-        assert _json_text(obj) == expected
+        assert _json_text(obj) == _pieces_text(obj) == expected
 
 
 class Kind(enum.IntEnum):
@@ -92,10 +100,12 @@ class Label(str):
     ],
 )
 def test_writer_equals_json_dumps_on_edge_cases(obj):
-    assert _json_text(obj) == _json_dumps(obj)
+    assert _json_text(obj) == _pieces_text(obj) == _json_dumps(obj)
 
 
 @pytest.mark.parametrize("obj", [1.5, {"a": {1, 2}}, b"x", object(), {(1,): 2}, {1.5: 2}])
 def test_writer_refuses_types_outside_its_subset(obj):
     with pytest.raises(TypeError):
         _json_text(obj)
+    with pytest.raises(TypeError):
+        _pieces_text(obj)
