@@ -26,7 +26,6 @@ from .algebra import (
 )
 from .cmfield import (
     GaloisCMData,
-    GradingVector,
     Orientation,
     OrientedCMField,
     basis_pos,
@@ -35,8 +34,6 @@ from .cmfield import (
     enumerate_orientations,
     field_from_json,
     field_to_json,
-    galois_act_grading,
-    grading_vector,
     oriented_from_json,
     oriented_to_json,
     validate_orientation,

@@ -37,10 +37,10 @@ from .algebra import (
     root_vector,
 )
 from .cmfield import (
+    _hodge_picks,
     build_cyclotomic_cm,
     enumerate_orientations,
     orientation_from_pick,
-    orientation_picks,
     validate_orientation,
 )
 from .cyclotomic import CyclotomicNumber, euler_phi
@@ -62,9 +62,9 @@ SCHEMA_VERSION = "1"
 
 
 def _first_oriented(m, weight, hodge):
-    """The oriented field of the first orientation enumerate_orientations would list."""
+    """The oriented field of the first listed orientation; only it is built, so no listing cap applies."""
     galois = build_cyclotomic_cm(m)
-    pairs, picks = orientation_picks(galois, weight, hodge)
+    pairs, picks, _ = _hodge_picks(galois, weight, hodge)
     return validate_orientation(galois, orientation_from_pick(weight, pairs, next(picks)))
 
 

@@ -23,7 +23,6 @@ from .cmfield import (
     Orientation,
     field_from_json,
     field_to_json,
-    grading_vector,
     orientation_picks,
     oriented_to_json,
     validate_orientation,
@@ -280,7 +279,10 @@ def _cmd_grading(args):
     field = _load_oriented(args)
     return _envelope(
         "grading",
-        {"field": oriented_to_json(field), "grading": grading_vector(field).to_json()},
+        {
+            "field": oriented_to_json(field),
+            "grading": {"pair_values": {str(k): field.grading_value(k) for k in range(1, field.n + 1)}},
+        },
     )
 
 

@@ -9,11 +9,14 @@ p and q, and all later constructions consume only this data.
 Conjugate pairs are indexed by signed integers: index k > 0 names the
 member of the k-th pair that comes first in label order, and -k names its
 conjugate.  Signed indices are the coordinate system used everywhere
-downstream (grading vectors, root indices, support graphs).
+downstream (grading values, root indices, support graphs).  Every orbit
+walk of the package is the one breadth-first routine ``_reached``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
 from math import factorial, gcd, lcm
 
 from .cyclotomic import euler_phi
@@ -35,6 +38,22 @@ def basis_pos(n, k):
     if k > 0:
         return k - 1
     return n - k - 1
+
+
+def _reached(seed, moves):
+    """Breadth first from ``seed``: yields it, then each new element as it is discovered.
+
+    ``moves(x)`` gives x's neighbours in a fixed order; a caller that stops early stops the walk.
+    """
+    seen = {seed}
+    queue = deque([seed])
+    yield seed
+    while queue:
+        for y in moves(queue.popleft()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                yield y
 
 
 class GaloisCMData:
@@ -112,19 +131,9 @@ class GaloisCMData:
                     "conjugation does not commute with every generator",
                     reason="conjugation-not-central",
                 )
-        seen = {self.labels[0]}
-        frontier = [self.labels[0]]
         gens = self.generators + (self.conjugation,)
-        while frontier:
-            nxt = []
-            for lab in frontier:
-                for g in gens:
-                    img = self.apply(g, lab)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        if len(seen) != len(self.labels):
+        reached = _reached(self.labels[0], lambda lab: (self.apply(g, lab) for g in gens))
+        if len(set(reached)) != len(self.labels):
             raise NotCMFieldError(
                 "the generated group is not transitive on the labels",
                 reason="group-not-transitive",
@@ -140,25 +149,13 @@ class GaloisCMData:
         if self._group is not None:
             return self._group
         gens = self.generators + (self.conjugation,)
-        ident = self.identity()
-        seen = {ident}
-        order = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for perm in frontier:
-                for g in gens:
-                    prod = self.compose(perm, g)
-                    if prod not in seen:
-                        if len(seen) >= GROUP_ENUMERATION_CAP:
-                            raise EnumerationCapError(
-                                f"group has more than {GROUP_ENUMERATION_CAP} elements"
-                            )
-                        seen.add(prod)
-                        order.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        self._group = tuple(order)
+        moves = lambda perm: (self.compose(perm, g) for g in gens)
+        group = tuple(islice(_reached(self.identity(), moves), GROUP_ENUMERATION_CAP + 1))
+        if len(group) > GROUP_ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"group has more than {GROUP_ENUMERATION_CAP} elements"
+            )
+        self._group = group
         return self._group
 
     @property
@@ -209,18 +206,7 @@ def build_cyclotomic_cm(m):
         return tuple((a * lab) % m for lab in labels)
 
     def closure(gens):
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a in gens:
-                    y = (x * a) % m
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
+        return set(_reached(1, lambda x: ((x * a) % m for a in gens)))
 
     generators = None
     for a in labels:
@@ -503,6 +489,16 @@ def orientation_picks(galois, weight, hodge_numbers):
     budget h_c.  The budgets sum to the number of pairs, so every partial
     pick extends to an orientation.
     """
+    pairs, picks, count = _hodge_picks(galois, weight, hodge_numbers)
+    if count > ORIENTATION_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{count} orientations exceed the enumeration cap of {ORIENTATION_ENUMERATION_CAP}"
+        )
+    return pairs, picks
+
+
+def _hodge_picks(galois, weight, hodge_numbers):
+    """orientation_picks' Hodge checks, then (pairs, picks, closed-form count), without the listing cap."""
     _check_odd_weight(weight)
     h = list(hodge_numbers)
     if len(h) != weight + 1:
@@ -518,13 +514,8 @@ def orientation_picks(galois, weight, hodge_numbers):
             f"Hodge numbers sum to {sum(h)}, but the field has {len(galois.labels)} embeddings"
         )
     n, index_to_label = _pair_table(galois)
-    count = orientation_count(h)
-    if count > ORIENTATION_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{count} orientations exceed the enumeration cap of {ORIENTATION_ENUMERATION_CAP}"
-        )
     pairs = tuple((index_to_label[k], index_to_label[-k]) for k in range(1, n + 1))
-    return pairs, _budgeted_picks(n, weight, h[: (weight + 1) // 2])
+    return pairs, _budgeted_picks(n, weight, h[: (weight + 1) // 2]), orientation_count(h)
 
 
 def orientation_from_pick(weight, pairs, pick):
@@ -563,53 +554,6 @@ def _budgeted_picks(n, weight, budget, picks=()):
             budget[c] -= 1
             yield from _budgeted_picks(n, weight, budget, picks + (t,))
             budget[c] += 1
-
-
-class GradingVector:
-    """Integer weights on signed indices with v(-k) = -v(k)."""
-
-    def __init__(self, values):
-        vals = {int(k): int(v) for k, v in values.items()}
-        for k, v in vals.items():
-            if k == 0:
-                raise UsageError("0 is not a signed index")
-            if vals.get(-k) != -v:
-                raise UsageError("grading vector must be odd under conjugation")
-        self.values = vals
-
-    def value(self, k):
-        return self.values[k]
-
-    def pair_tuple(self):
-        n = max(self.values)
-        return tuple(self.values[k] for k in range(1, n + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, GradingVector):
-            return NotImplemented
-        return self.values == other.values
-
-    def to_json(self):
-        n = max(self.values)
-        return {"pair_values": {str(k): self.values[k] for k in range(1, n + 1)}}
-
-    def __repr__(self):
-        return f"GradingVector({self.pair_tuple()})"
-
-
-def grading_vector(field):
-    """The eigenvalue vector p - q of the grading element, per signed index."""
-    return GradingVector(
-        {k: field.grading_value(k) for k in field.signed_indices()}
-    )
-
-
-def galois_act_grading(field, perm, vec):
-    """Pull a grading vector back along a group element: (g.v)(k) = v(g^{-1} k)."""
-    inv = field.galois.inverse(perm)
-    return GradingVector(
-        {k: vec.value(field.act_index(inv, k)) for k in field.signed_indices()}
-    )
 
 
 # -- serialization ------------------------------------------------------

@@ -10,6 +10,7 @@ failed on concrete data, which is release blocking by design.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -19,13 +20,13 @@ from .algebra import (
     reynolds_average,
     root_vector,
 )
-from .cmfield import basis_pos, galois_act_grading, grading_vector
+from .cmfield import _reached
 from .errors import (
     PreconditionError,
     TheoremViolationError,
     UsageError,
 )
-from .graphs import _degree_and_partition, support_graph
+from .graphs import _degree_and_partition, _edge, _sorted_edges, support_graph
 from .linalg import _is_prime, rank_rational
 from .polynomials import Poly, poly_gcd
 
@@ -84,17 +85,21 @@ def ribet_dichotomy(spec):
     )
 
 
-def _orbit_rows(field, base):
-    """The Galois orbit of the grading vector base, one pair-coordinate row per group element."""
+def _orbit_rows(field):
+    """The Galois orbit of the grading v = p - q: row g is (g.v)(k) = v(g^{-1} k), k = 1..n.
+
+    Rows come in enumerate_group order, so the grading itself comes first.
+    """
+    galois, pairs = field.galois, range(1, field.n + 1)
     return [
-        galois_act_grading(field, g, base).pair_tuple()
-        for g in field.galois.enumerate_group()
+        tuple(field.grading_value(field.act_index(inv, k)) for k in pairs)
+        for inv in map(galois.inverse, galois.enumerate_group())
     ]
 
 
 def orbit_rank(field):
     """Rank over Q of the Galois orbit of the grading vector, in pair coordinates."""
-    return rank_rational(_orbit_rows(field, grading_vector(field)))
+    return rank_rational(_orbit_rows(field))
 
 
 VERDICT_NONDEGENERATE = "nondegenerate"
@@ -142,25 +147,11 @@ def _transitive_sign_free_element(field):
     if n % 2 == 0 or not _is_prime(n):
         return None
     for g in field.galois.enumerate_group():
-        images = {}
-        ok = True
-        for k in range(1, n + 1):
-            img = field.act_index(g, k)
-            if img < 0:
-                ok = False
-                break
-            images[k] = img
-        if not ok:
+        if any(field.act_index(g, k) < 0 for k in range(1, n + 1)):
             continue
-        cycle = [1]
-        while True:
-            nxt = images[cycle[-1]]
-            if nxt == 1:
-                break
-            cycle.append(nxt)
-        if len(cycle) != n:
-            continue
-        return g, cycle
+        cycle = list(_reached(1, lambda k: (field.act_index(g, k),)))
+        if len(cycle) == n:
+            return g, cycle
     return None
 
 
@@ -171,8 +162,7 @@ def nondegeneracy_verdict(field):
     without sign mixing, the circulant route is also reported and its
     dichotomy is enforced; otherwise the orbit rank alone decides.
     """
-    base = grading_vector(field)
-    rows = _orbit_rows(field, base)
+    rows = _orbit_rows(field)
     rank = rank_rational(rows)
     n = field.n
     circ_rank = None
@@ -181,7 +171,7 @@ def nondegeneracy_verdict(field):
     found = _transitive_sign_free_element(field)
     if found is not None:
         _, cycle = found
-        circ_entries = tuple(base.value(k) for k in cycle)
+        circ_entries = tuple(field.grading_value(k) for k in cycle)
         spec = CirculantSpec(circ_entries)
         circ_rank = circulant_rank(spec)
         branch = ribet_dichotomy(spec)
@@ -193,8 +183,8 @@ def nondegeneracy_verdict(field):
         circulant_rank=circ_rank,
         dichotomy_branch=branch,
         circulant_entries=circ_entries,
-        orbit_vectors=tuple(tuple(r) for r in rows),
-        grading=base.pair_tuple(),
+        orbit_vectors=tuple(rows),
+        grading=rows[0],
     )
 
 
@@ -237,37 +227,23 @@ def escape_verdict(field, nilpotent):
 
 
 def _edge_orbits(field):
-    """Galois orbits of unordered index pairs, in deterministic order."""
+    """Galois orbits of unordered index pairs, walked from the generators, in deterministic order."""
     n = field.n
-    key = lambda k: basis_pos(n, k)
-
-    def norm(a, b):
-        return (a, b) if key(a) <= key(b) else (b, a)
-
-    signed = field.signed_indices()
-    all_edges = set()
-    for idx, a in enumerate(signed):
-        for b in signed[idx + 1 :]:
-            all_edges.add(norm(a, b))
     gens = field.galois.generators + (field.galois.conjugation,)
+
+    def moves(edge):
+        a, b = edge
+        return (_edge(n, field.act_index(g, a), field.act_index(g, b)) for g in gens)
+
     orbits = []
     seen = set()
-    for edge in sorted(all_edges, key=lambda e: (key(e[0]), key(e[1]))):
+    # basis order, so each pair comes out as its _edge form, in sorted order
+    for edge in itertools.combinations(field.signed_indices(), 2):
         if edge in seen:
             continue
-        orbit = {edge}
-        frontier = [edge]
-        while frontier:
-            nxt = []
-            for a, b in frontier:
-                for g in gens:
-                    img = norm(field.act_index(g, a), field.act_index(g, b))
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orbit = set(_reached(edge, moves))
         seen |= orbit
-        orbits.append(tuple(sorted(orbit, key=lambda e: (key(e[0]), key(e[1])))))
+        orbits.append(_sorted_edges(n, orbit))
     return orbits
 
 

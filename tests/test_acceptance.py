@@ -70,3 +70,11 @@ def test_first_oriented_is_the_first_listed_orientation(m, weight, hodge):
     field = _first_oriented(m, weight, hodge)
     assert field == validate_orientation(galois, listed)
     assert list(field.orientation.assignment) == list(listed.assignment)
+
+
+def test_first_oriented_builds_one_orientation_past_the_listing_cap():
+    # Hodge 1,13,13,1 at m = 29 has 229376 orientations, over the listing cap
+    field = _first_oriented(29, 3, (1, 13, 13, 1))
+    assert field.bidegree_of_label(1) == (3, 0)
+    assert [field.bidegree_of_label(lab) for lab in range(2, 15)] == [(2, 1)] * 13
+    assert field.bidegree_of_label(28) == (0, 3)

@@ -220,6 +220,42 @@ def test_labels_colliding_as_json_keys_are_a_usage_error(capsys, tmp_path):
         assert doc["error"]["reason"] == "bad-field"
 
 
+def _hyperoctahedral_b7():
+    """B_7 on labels a0..a6, b0..b6: pair i is {ai, bi}; order 2^7 * 7! = 645120."""
+    a = [f"a{i}" for i in range(7)]
+    b = [f"b{i}" for i in range(7)]
+    labels = a + b
+
+    def perm(images):
+        return [images.get(lab, lab) for lab in labels]
+
+    cycle = perm({**{a[i]: a[(i + 1) % 7] for i in range(7)}, **{b[i]: b[(i + 1) % 7] for i in range(7)}})
+    swap = perm({a[0]: a[1], a[1]: a[0], b[0]: b[1], b[1]: b[0]})
+    flip = perm({a[0]: b[0], b[0]: a[0]})
+    conjugation = perm({**dict(zip(a, b)), **dict(zip(b, a))})
+    field = {"flavor": "abstract", "labels": labels, "generators": [cycle, swap, flip], "conjugation": conjugation}
+    assignment = {"a0": [3, 0], "b0": [0, 3]}
+    for i in range(1, 7):
+        assignment[a[i]], assignment[b[i]] = [2, 1], [1, 2]
+    return field, {"weight": 3, "assignment": assignment}
+
+
+def test_rigidity_runs_on_an_abstract_group_above_the_cap(capsys, tmp_path):
+    # edge orbits are walked from the generators, so rigidity never lists the
+    # 645120 elements; nondeg needs every element and stops at the group cap
+    field, orientation = _hyperoctahedral_b7()
+    path = tmp_path / "b7.json"
+    path.write_text(json.dumps(field), encoding="utf-8")
+    argv = ["--abstract-file", str(path), "--orientation", json.dumps(orientation)]
+    code, doc = run_cli(capsys, "rigidity", *argv)
+    assert code == 0
+    assert doc["result"]["verdict"] == "rigid"
+    assert sum(orbit["size"] for orbit in doc["result"]["orbits"]) == 14 * 13 // 2
+    code, doc = run_cli(capsys, "nondeg", *argv)
+    assert code == 3
+    assert doc["error"]["reason"] == "enumeration-cap-exceeded"
+
+
 def test_grading_command(capsys):
     code, doc = run_cli(
         capsys, "grading", "--conductor", "7",

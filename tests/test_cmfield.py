@@ -14,13 +14,12 @@ from cmhodge import (
     enumerate_orientations,
     field_from_json,
     field_to_json,
-    galois_act_grading,
-    grading_vector,
     oriented_from_json,
     oriented_to_json,
     validate_orientation,
 )
 from cmhodge import cmfield
+from cmhodge.verifiers import _orbit_rows
 from conftest import abstract_z6, first_oriented
 
 CANONICAL_7 = {1: (3, 0), 2: (2, 1), 3: (2, 1), 4: (1, 2), 5: (1, 2), 6: (0, 3)}
@@ -60,6 +59,55 @@ def test_enumerate_group_cap(monkeypatch):
     monkeypatch.setattr(cmfield, "GROUP_ENUMERATION_CAP", 5)
     with pytest.raises(EnumerationCapError):
         galois.enumerate_group()
+
+
+@pytest.mark.parametrize("cap,fits", [(10, True), (9, False)])
+def test_enumerate_group_cap_boundary(monkeypatch, cap, fits):
+    # the order of (Z/11)^* is 10: a group of exactly the cap's size is listed
+    galois = build_cyclotomic_cm(11)
+    monkeypatch.setattr(cmfield, "GROUP_ENUMERATION_CAP", cap)
+    if fits:
+        assert len(galois.enumerate_group()) == 10
+    else:
+        with pytest.raises(EnumerationCapError):
+            galois.enumerate_group()
+
+
+@pytest.mark.parametrize(
+    "m,multipliers",
+    [(7, (1, 3, 6, 2, 4, 5)), (16, (1, 3, 5, 15, 9, 13, 11, 7))],
+)
+def test_enumerate_group_order_is_pinned(m, multipliers):
+    # breadth first from the identity over the generators, then conjugation;
+    # nondeg prints its orbit vectors in this order
+    galois = build_cyclotomic_cm(m)
+    assert galois.enumerate_group() == tuple(
+        tuple((a * lab) % m for lab in galois.labels) for a in multipliers
+    )
+
+
+def test_enumerate_group_order_is_pinned_on_the_abstract_field():
+    assert abstract_z6().enumerate_group() == (
+        ("a", "b", "c", "A", "B", "C"),
+        ("b", "c", "a", "B", "C", "A"),
+        ("A", "B", "C", "a", "b", "c"),
+        ("c", "a", "b", "C", "A", "B"),
+        ("B", "C", "A", "b", "c", "a"),
+        ("C", "A", "B", "c", "a", "b"),
+    )
+
+
+def test_reached_yields_in_queue_order_as_it_discovers():
+    expanded = []
+
+    def moves(x):
+        expanded.append(x)
+        return ((2 * x) % 11, (3 * x) % 11)
+
+    walk = cmfield._reached(1, moves)
+    assert list(itertools.islice(walk, 3)) == [1, 2, 3]
+    assert expanded == [1]  # the third element came before 2 was expanded
+    assert list(walk) == [4, 6, 9, 8, 7, 5, 10]
 
 
 @pytest.mark.parametrize("m", [10007, 1000003])
@@ -310,11 +358,12 @@ def test_sigma_three_index_action(oriented7):
 
 
 def test_grading_vector_and_sigma_three_action(oriented7):
-    base = grading_vector(oriented7)
-    assert base.pair_tuple() == (3, 1, 1)
-    assert base.value(-1) == -3
-    moved = galois_act_grading(oriented7, oriented7.sigma(3), base)
-    assert moved.pair_tuple() == (-1, 1, 3)
+    rows = _orbit_rows(oriented7)
+    assert rows[0] == (3, 1, 1)
+    assert oriented7.grading_value(-1) == -3
+    group = oriented7.galois.enumerate_group()
+    # (sigma_3 . v)(k) = v(sigma_3^{-1} k) = v(sigma_5 k)
+    assert rows[group.index(oriented7.sigma(3))] == (-1, 1, 3)
 
 
 def test_coefficient_exponents_are_unit_lifts(oriented7):

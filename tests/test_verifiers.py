@@ -23,7 +23,9 @@ from cmhodge import (
     validate_orientation,
 )
 from cmhodge.acceptance import rational_nilpotent_examples, rational_nilpotent_witness
+from cmhodge.graphs import _edge
 from cmhodge.linalg import rank_rational
+from cmhodge.verifiers import _edge_orbits
 from conftest import abstract_z6, first_oriented
 
 BALANCED_ABSTRACT = {
@@ -106,6 +108,32 @@ def test_nondegeneracy_report_balanced(oriented7):
     assert len(report.orbit_vectors) == 6
     js = report.to_json()
     assert js["verdict"] == "nondegenerate" and js["circulant_entries"] is None
+
+
+@pytest.mark.parametrize(
+    "m,hodge,vectors",
+    [
+        (7, (1, 2, 2, 1), ((3, 1, 1), (-1, 1, 3), (-3, -1, -1), (-1, 3, -1), (1, -1, -3), (1, -3, 1))),
+        (16, (1, 3, 3, 1), (
+            (3, 1, 1, 1), (-1, 3, 1, -1), (-1, 1, 3, -1), (-3, -1, -1, -1),
+            (-1, -1, -1, -3), (1, -3, -1, 1), (1, -1, -3, 1), (1, 1, 1, 3),
+        )),
+    ],
+)
+def test_orbit_vectors_come_in_group_order(m, hodge, vectors):
+    # row i is the grading pulled back along enumerate_group()[i]; the identity's comes first
+    report = nondegeneracy_verdict(first_oriented(m, 3, hodge))
+    assert report.orbit_vectors == vectors
+    assert report.grading == vectors[0]
+
+
+def test_orbit_vectors_come_in_group_order_on_the_abstract_field():
+    field = validate_orientation(abstract_z6(), Orientation(3, BALANCED_ABSTRACT))
+    report = nondegeneracy_verdict(field)
+    assert report.orbit_vectors == (
+        (3, 1, 1), (1, 3, 1), (-3, -1, -1), (1, 1, 3), (-1, -3, -1), (-1, -1, -3),
+    )
+    assert report.grading == (3, 1, 1)
 
 
 def test_nondegeneracy_report_quadratic_residue_pattern():
@@ -202,3 +230,18 @@ def test_rigidity_never_raises_without_hypotheses():
     for o in enumerate_orientations(galois, 3, (2, 1, 1, 2)):
         out = rigidity_verdict(validate_orientation(galois, o))
         assert out["verdict"] in ("rigid", "not-rigid")
+
+
+@pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (13, (1, 5, 5, 1)), (16, (1, 3, 3, 1))])
+def test_edge_orbits_match_the_images_under_every_group_element(m, hodge):
+    # the orbits are walked from the generators; here each is the set of images of its first edge
+    field = first_oriented(m, 3, hodge)
+    orbits = _edge_orbits(field)
+    group = field.galois.enumerate_group()
+    for orbit in orbits:
+        a, b = orbit[0]
+        images = {_edge(field.n, field.act_index(g, a), field.act_index(g, b)) for g in group}
+        assert set(orbit) == images and len(orbit) == len(images)
+    n2 = 2 * field.n
+    assert sum(len(orbit) for orbit in orbits) == n2 * (n2 - 1) // 2
+
