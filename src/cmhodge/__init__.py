@@ -20,6 +20,7 @@ from .algebra import (
     generated_subalgebra,
     is_rational,
     nilpotency_degree,
+    rational_nilpotency_degree,
     reynolds_average,
     root_vector,
     zero_element,

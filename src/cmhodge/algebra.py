@@ -18,9 +18,11 @@ pair comes first in basis order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .cmfield import basis_pos
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _context
 from .errors import ConductorMismatchError, NotNilpotentError, UsageError
 from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError, _accumulate
 
@@ -372,33 +374,132 @@ def _mat_vec(cols, vec):
     return out
 
 
-def nilpotency_degree(v):
-    """Smallest l with N^l = 0; raises if N^(2n) is still nonzero.
+def _chain_search(size, starts, step):
+    """Longest chain N e_b, N^2 e_b, ... before it vanishes; raises if N^size is still nonzero.
 
-    N^l = 0 exactly when N^l e_b = 0 for every basis vector e_b, so the
-    degree is the longest chain e_b, N e_b, N^2 e_b, ... before it reaches
-    zero.  A chain of full length 2n that ends in zero stops the search: its
-    vectors N^i e_b (0 <= i < 2n) are independent (apply N^(2n-1-i) to a
+    ``starts`` yields N e_b for the basis vectors e_b of a space of dimension
+    ``size`` and ``step`` applies N; a zero vector is falsy.  N^l = 0 exactly
+    when N^l e_b = 0 for every e_b, so the degree is the longest chain.  A
+    chain of full length ``size`` that ends in zero stops the search: its
+    vectors N^i e_b (0 <= i < size) are independent (apply N^(size-1-i) to a
     relation whose first nonzero term is at i), so they form a basis that
-    N^(2n) kills, and no later chain can be longer or fail to end.
+    N^size kills, and no later chain can be longer or fail to end.
+    """
+    degree = 1
+    for vec in starts:
+        length = 1
+        while vec:
+            if length >= size:
+                raise NotNilpotentError("the realization is not nilpotent")
+            vec = step(vec)
+            length += 1
+        if length == size:
+            return size
+        degree = max(degree, length)
+    return degree
+
+
+def nilpotency_degree(v):
+    """Smallest l with N^l = 0, by chains of the 2n x 2n realization over Q(zeta_M).
+
+    Raises ``NotNilpotentError`` if N^(2n) is still nonzero.  It works for
+    any element, rational or not, on either flavor, and is the oracle for
+    ``rational_nilpotency_degree``, the route the verdicts take on rational
+    elements of cyclotomic fields.
     """
     cols = {}
     for (a, b), x in v.entries().items():
         cols.setdefault(b, []).append((a, x))
-    bound = 2 * v.field.n
-    degree = 1
-    for b in v.field.signed_indices():
-        vec = dict(cols.get(b, ()))  # N e_b, read off without a product
-        length = 1
-        while vec:
-            if length >= bound:
-                raise NotNilpotentError("the realization is not nilpotent")
-            vec = _mat_vec(cols, vec)
-            length += 1
-        if length == bound:
-            return bound
-        degree = max(degree, length)
-    return degree
+    starts = (dict(cols.get(b, ())) for b in v.field.signed_indices())
+    return _chain_search(2 * v.field.n, starts, lambda vec: _mat_vec(cols, vec))
+
+
+def rational_nilpotency_degree(v):
+    """``nilpotency_degree`` of a rational element of a cyclotomic field, from its form over F.
+
+    F is the fixed field of the coefficient action: Q(i) for odd m, Q when
+    4 | m.  The form is the 2n x 2n matrix W of N on the fixed vectors y_a of
+    ``acceptance._fixed_vectors`` (``_fixed_form``), similar to N, so it has
+    the same degree; the chains run on its integer rows.  Over Q(i) = Q + Qi,
+    W = A + iB acts on Q-coordinates (real parts, then imaginary parts) as
+    [[A, -B], [B, A]]; the chains start at the first 2n coordinate vectors,
+    one per y_a, and the bound stays 2n, the dimension over F.  The element
+    must be rational (``is_rational``); for any other, W is not N's matrix.
+    """
+    size = 2 * v.field.n
+    rows = _fixed_form(v)
+
+    def step(vec):
+        out = [sum(map(mul, row, vec)) for row in rows]
+        return out if any(out) else None
+
+    starts = (step([int(b == a) for b in range(len(rows))]) for a in range(size))
+    return _chain_search(size, starts, step)
+
+
+def _fixed_form(v):
+    """Integer rows of a positive multiple of N's matrix over F on the fixed vectors, written over Q.
+
+    In the equivariant gauge (``_gauge_units``), G = d N d^-1, a rational N
+    maps each fixed vector to a fixed vector, and a fixed vector is
+    determined by its coordinate at index 1, whose label is 1.  So column a
+    of W holds the coordinates of
+
+        (G y_a)_1 = sum over k of G_1k zeta_m^(a l(k))
+
+    in the F-basis zeta_m^b (b < 2n) of Q(zeta_M).  Each product with a root
+    of unity moves the integer numerators of G_1k to other exponents of
+    zeta_M.  For odd m, M = 4m, and zeta_M^t = i^x zeta_m^y with
+    t = m x + 4 y (mod M); when 4 | m, M = m and x = 0.  The powers
+    zeta_m^y (y < m) reduce to the power basis modulo Phi_m.
+    """
+    field = v.field
+    m = field.galois.conductor
+    M = field.working_conductor
+    size = 2 * field.n
+    step = M // m
+    d, dinv = _gauge_units(field)
+    # row 1 of N from the X-coefficients: c X_{1,j} puts c at (1, j), and
+    # c X_{i,-1} puts c ratio(i, -1) at (1, -i); X_{1,-1} gets both
+    row = {}
+    for (i, j), c in v.coeffs.items():
+        if i == 1:
+            _accumulate(row, j, c)
+        if j == -1:
+            _accumulate(row, -i, c * _ratio(field, i, j))
+    gauged = [(k, d[1] * c * dinv[k]) for k, c in row.items()]
+    den = lcm(*(g.den for _, g in gauged))
+    shifted = [
+        (step * field.index_to_label[k], [(t, x * (den // g.den)) for t, x in enumerate(g.num) if x])
+        for k, g in gauged
+    ]
+    # the Q-coordinates of zeta_M^t = i^x zeta_m^y as (position, integer)
+    # pairs, imaginary parts after the real ones; x = 0 when 4 | m
+    terms = _context(m).terms
+    coords = []
+    for t in range(M):
+        x = (t * m) % 4
+        y = ((t - m * x) // step) % m
+        offset = size if x % 2 else 0
+        sign = -1 if x >= 2 else 1
+        coords.append([(offset + b, sign * r) for b, r in terms[y]])
+    width = size if M == m else 2 * size
+    cols = []
+    for a in range(size):
+        bucket = [0] * M
+        for shift, nums in shifted:
+            s = a * shift
+            for t, x in nums:
+                bucket[(t + s) % M] += x
+        col = [0] * width
+        for t, x in enumerate(bucket):
+            if x:
+                for pos, r in coords[t]:
+                    col[pos] += x * r
+        cols.append(col)
+    if width != size:  # i * y_a maps to i * (W y_a): real part -B, imaginary part A
+        cols += [[-x for x in col[size:]] + col[:size] for col in cols]
+    return [list(r) for r in zip(*cols)]
 
 
 def generated_subalgebra(seeds):

@@ -160,7 +160,8 @@ class GaloisCMData:
 
     @property
     def group_order(self):
-        return len(self.enumerate_group())
+        """The group's order, from a stabilizer chain; no element list and no cap."""
+        return _stabilizer_chain_order(self)
 
     def __eq__(self, other):
         if not isinstance(other, GaloisCMData):
@@ -177,6 +178,83 @@ class GaloisCMData:
         if self.flavor == "cyclotomic":
             return f"GaloisCMData(cyclotomic, conductor={self.conductor})"
         return f"GaloisCMData(abstract, degree={len(self.labels)})"
+
+
+def _stabilizer_chain_order(galois):
+    """Order of the group, by deterministic Schreier-Sims, without listing its elements.
+
+    Sims 1970; Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 4.4.2.  Level i holds a base label, the strong generators
+    fixing the earlier base labels, and a transversal of the base label's
+    orbit under them.  A level is complete when each of its Schreier
+    generators sifts to the identity through the levels below; one that
+    does not joins the levels it passed, and the check resumes at the
+    deepest of them.  The order is the product of the orbit lengths.
+    """
+    identity = galois.identity()
+    apply, compose, inverse = galois.apply, galois.compose, galois.inverse
+    base, strong, orbits = [], [], []
+
+    def add_level(g):
+        point = next(lab for lab in galois.labels if apply(g, lab) != lab)
+        base.append(point)
+        strong.append([])
+        orbits.append({point: identity})
+
+    def extend(level, g):
+        strong[level].append(g)
+        transversal = orbits[level]
+        queue = list(transversal)
+        for x in queue:
+            for s in strong[level]:
+                y = apply(s, x)
+                if y not in transversal:
+                    transversal[y] = compose(s, transversal[x])
+                    queue.append(y)
+
+    def sift(g, level):
+        """(residue, level reached): g stripped by the transversals from ``level`` down."""
+        while level < len(base):
+            u = orbits[level].get(apply(g, base[level]))
+            if u is None:
+                break
+            g = compose(inverse(u), g)
+            level += 1
+        return g, level
+
+    gens = [g for g in galois.generators + (galois.conjugation,) if g != identity]
+    for g in gens:
+        if all(apply(g, b) == b for b in base):
+            add_level(g)
+    for level in range(len(base)):
+        for g in gens:
+            if all(apply(g, b) == b for b in base[:level]):
+                extend(level, g)
+    level = len(base) - 1
+    while level >= 0:
+        found = None
+        for x, u in list(orbits[level].items()):
+            for s in strong[level]:
+                schreier = compose(inverse(orbits[level][apply(s, x)]), compose(s, u))
+                h, reached = sift(schreier, level + 1)
+                if h != identity:
+                    found = h, reached
+                    break
+            if found:
+                break
+        if found is None:
+            level -= 1
+            continue
+        h, reached = found
+        if reached == len(base):
+            add_level(h)
+        for j in range(level + 1, reached + 1):
+            extend(j, h)
+        level = reached
+    order = 1
+    for transversal in orbits:
+        order *= len(transversal)
+    return order
 
 
 def build_cyclotomic_cm(m):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import is_rational, nilpotency_degree
+from .algebra import is_rational, nilpotency_degree, rational_nilpotency_degree
 from .cmfield import basis_pos
 from .errors import TheoremViolationError, UsageError
 
@@ -146,11 +146,17 @@ def _degree_and_partition(field, v, caller):
 
     Enforces the bound shared by every verdict on such an element: a degree
     above n forces the trivial partition.  ``caller`` names the public
-    function in the error for a non-rational element.
+    function in the error for a non-rational element.  On a cyclotomic
+    field the degree is read off the element's form over the fixed field;
+    an abstract field has no such form and takes the chains over the
+    coefficients.
     """
     if not is_rational(field, v):
         raise UsageError(f"{caller} needs a rational element")
-    degree = nilpotency_degree(v)  # raises when not nilpotent
+    if field.galois.flavor == "cyclotomic":
+        degree = rational_nilpotency_degree(v)  # raises when not nilpotent
+    else:
+        degree = nilpotency_degree(v)
     _, partition = support_graph(v)
     if degree > field.n and len(partition.blocks) != 1:
         raise TheoremViolationError(

@@ -22,6 +22,7 @@ from cmhodge import (
     generated_subalgebra,
     is_rational,
     nilpotency_degree,
+    rational_nilpotency_degree,
     reynolds_average,
     root_vector,
     validate_orientation,
@@ -305,6 +306,75 @@ def test_nilpotency_degree_raises_like_matrix_powers(oriented7):
         assert isinstance(got, tuple)
         assert got == _degree_or_error(_matrix_power_degree, v)
         assert got[1] == "not-nilpotent"
+
+
+# odd prime, prime power and composite m (fixed field Q(i)), and 4 | m (fixed field Q)
+RATIONAL_FORM_FIELDS = [
+    (7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (12, (1, 1, 1, 1)),
+    (15, (1, 3, 3, 1)), (16, (1, 3, 3, 1)), (20, (1, 3, 3, 1)), (21, (1, 5, 5, 1)),
+]
+
+
+@pytest.mark.parametrize("m,hodge", RATIONAL_FORM_FIELDS, ids=[f"m{m}" for m, _ in RATIONAL_FORM_FIELDS])
+def test_rational_form_degree_equals_the_krylov_oracle_on_the_examples(m, hodge):
+    from cmhodge.acceptance import rational_nilpotent_examples
+
+    field = first_oriented(m, 3, hodge)
+    for name, v in rational_nilpotent_examples(field):
+        assert rational_nilpotency_degree(v) == nilpotency_degree(v), name
+
+
+@pytest.mark.parametrize("m,hodge", RATIONAL_FORM_FIELDS, ids=[f"m{m}" for m, _ in RATIONAL_FORM_FIELDS])
+def test_rational_form_degree_equals_the_krylov_oracle_on_reynolds_averages(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    M = field.working_conductor
+    roots = all_root_indices(field.n)
+    rng = random.Random(f"rational-form-{m}")
+    outcomes = []
+    for _ in range(6):
+        support = rng.sample(roots, rng.randrange(1, 4))
+        coeffs = {ij: CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, 1, 3)) for ij in support}
+        v = reynolds_average(field, element_from_coeffs(field, coeffs))
+        got = _degree_or_error(rational_nilpotency_degree, v)
+        assert got == _degree_or_error(nilpotency_degree, v)
+        outcomes.append(got)
+    # most averages keep a Cartan-like part, so the raising branch is exercised
+    assert "not-nilpotent" in {o[1] for o in outcomes if isinstance(o, tuple)}
+
+
+@pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (12, (1, 1, 1, 1))], ids=["m7", "m12"])
+def test_rational_form_degree_of_zero_is_one(m, hodge):
+    assert rational_nilpotency_degree(zero_element(first_oriented(m, 3, hodge))) == 1
+
+
+def test_rational_form_degree_of_the_m23_witness():
+    from cmhodge.acceptance import rational_nilpotent_witness
+
+    field = first_oriented(23, 3, (1, 10, 10, 1))
+    assert rational_nilpotency_degree(rational_nilpotent_witness(field)) == 22
+
+
+def test_verdicts_take_the_rational_form_on_cyclotomic_fields_only(monkeypatch, oriented7):
+    from cmhodge import graphs
+    from cmhodge.acceptance import rational_nilpotent_witness
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(v):
+            calls.append(name)
+            return fn(v)
+        return wrapped
+
+    monkeypatch.setattr(graphs, "nilpotency_degree", spy("krylov", nilpotency_degree))
+    monkeypatch.setattr(graphs, "rational_nilpotency_degree", spy("form", rational_nilpotency_degree))
+    assert graphs.trivial_partition_check(rational_nilpotent_witness(oriented7))["nilpotency_degree"] == 6
+    assert calls == ["form"]
+    galois = abstract_z6()
+    orientation = enumerate_orientations(galois, 3, (1, 2, 2, 1))[0]
+    zero = zero_element(validate_orientation(galois, orientation))
+    assert graphs.trivial_partition_check(zero)["nilpotency_degree"] == 1
+    assert calls == ["form", "krylov"]
 
 
 def test_generated_subalgebra_dimensions(oriented7):

@@ -256,6 +256,17 @@ def test_rigidity_runs_on_an_abstract_group_above_the_cap(capsys, tmp_path):
     assert doc["error"]["reason"] == "enumeration-cap-exceeded"
 
 
+def test_field_reports_the_order_of_an_abstract_group_above_the_cap(capsys, tmp_path):
+    # the order comes from a stabilizer chain, so the 645120 elements are never listed
+    field, _ = _hyperoctahedral_b7()
+    path = tmp_path / "b7.json"
+    path.write_text(json.dumps(field), encoding="utf-8")
+    code, doc = run_cli(capsys, "field", "--abstract-file", str(path))
+    assert code == 0
+    assert doc["result"]["group_order"] == 645120
+    assert doc["result"]["embeddings"] == 14
+
+
 def test_grading_command(capsys):
     code, doc = run_cli(
         capsys, "grading", "--conductor", "7",
@@ -508,7 +519,7 @@ def test_a_theorem_violation_exits_4_with_the_shared_message(capsys, tmp_path, m
     split = reynolds_average(oriented7, root_vector(oriented7, 1, 2))
     path = tmp_path / "split.json"
     path.write_text(json.dumps(split.to_json()))
-    monkeypatch.setattr(graphs, "nilpotency_degree", lambda v: 4)
+    monkeypatch.setattr(graphs, "rational_nilpotency_degree", lambda v: 4)
     message = "degree 4 > n = 3 but the support partition is not trivial"
     code, doc = run_cli(capsys, "escape", "--element", str(path))
     assert code == 4

@@ -1,21 +1,38 @@
-"""Random orientation documents against the CLI exit-code contract.
+"""Random orientation and element documents against the CLI exit-code contract.
 
-Every run of ``grading``, ``nondeg`` and ``rigidity`` ends with one JSON
-document and exit code 0 (ok), 2 (usage), 3 (domain) or 4 (theorem
-violation); an error document names its ``reason`` as a lowercase slug.
-A traceback would surface here as an exception out of ``main``.
+Every run of ``grading``, ``nondeg`` and ``rigidity`` on an orientation,
+and of ``escape --element`` and ``partition`` on an element file, ends with
+one JSON document and exit code 0 (ok), 2 (usage), 3 (domain) or 4
+(theorem violation); an error document names its ``reason`` as a lowercase
+slug.  A traceback would surface here as an exception out of ``main``.
 """
 
 import contextlib
 import io
 import json
 import re
+import tempfile
+from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmhodge import (
+    CyclotomicNumber,
+    all_root_indices,
+    build_cyclotomic_cm,
+    element_from_coeffs,
+    element_from_json,
+    nilpotency_degree,
+    reynolds_average,
+    validate_orientation,
+    zero_element,
+)
+from cmhodge.acceptance import rational_nilpotent_examples
 from cmhodge.cli import main
+from cmhodge.cmfield import orientation_from_pick, orientation_picks
 
 CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 13)
 REASON = re.compile(r"^[a-z-]+$")
@@ -93,3 +110,92 @@ def test_orientation_commands_keep_the_exit_code_contract(argv):
         assert doc["command"] == argv[0]
     else:
         assert REASON.match(doc["error"]["reason"]), doc
+
+
+# n <= 3 pairs keeps every exact closure fast; m = 8 and 12 have fixed field Q
+ELEMENT_FIELDS = {5: (1, 1, 1, 1), 7: (1, 2, 2, 1), 8: (1, 1, 1, 1), 12: (1, 1, 1, 1)}
+ELEMENT_DAMAGES = (
+    "drop-field", "drop-terms", "junk-term", "junk-coeff", "foreign-conductor",
+    "bad-index", "not-an-object", "truncated",
+)
+
+
+@lru_cache(maxsize=None)
+def _field_and_examples(m, pick_number):
+    """The oriented field of one listed orientation, with its rational nilpotent examples."""
+    galois = build_cyclotomic_cm(m)
+    pairs, picks = orientation_picks(galois, 3, ELEMENT_FIELDS[m])
+    picks = list(picks)
+    field = validate_orientation(galois, orientation_from_pick(3, pairs, picks[pick_number % len(picks)]))
+    return field, tuple(v for _, v in rational_nilpotent_examples(field))
+
+
+def _coefficient(draw, M):
+    return CyclotomicNumber.root_of_unity(M, draw(st.integers(0, M - 1))) * draw(st.sampled_from((-2, -1, 1, 3)))
+
+
+@st.composite
+def element_runs(draw):
+    """A command and an element document's text: rational nilpotent, Reynolds average, raw or zero, then up to two damages."""
+    command = draw(st.sampled_from(("escape", "partition")))
+    field, examples = _field_and_examples(draw(st.sampled_from(sorted(ELEMENT_FIELDS))), draw(st.integers(0, 23)))
+    M = field.working_conductor
+    kind = draw(st.sampled_from(("nilpotent", "nilpotent-sum", "average", "raw", "zero")))
+    if kind.startswith("nilpotent"):
+        parts = draw(st.lists(st.sampled_from(examples), min_size=1, max_size=1 if kind == "nilpotent" else 2))
+        v = zero_element(field)
+        for part in parts:
+            v = v + part * draw(st.sampled_from((-3, -1, 1, 2)))
+    elif kind in ("average", "raw"):
+        support = draw(st.lists(st.sampled_from(all_root_indices(field.n)), min_size=1, max_size=3, unique=True))
+        v = element_from_coeffs(field, {ij: _coefficient(draw, M) for ij in support})
+        if kind == "average":
+            v = reynolds_average(field, v)
+    else:
+        v = zero_element(field)
+    doc = v.to_json()
+    truncated = False
+    for damage in draw(st.lists(st.sampled_from(ELEMENT_DAMAGES), max_size=2)):
+        terms = doc.get("terms") if isinstance(doc, dict) else None
+        terms = terms if isinstance(terms, list) else []
+        if damage == "drop-field" and isinstance(doc, dict):
+            doc.pop("field", None)
+        elif damage == "drop-terms" and isinstance(doc, dict):
+            doc.pop("terms", None)
+        elif damage == "junk-term":
+            terms.append(draw(JUNK))
+        elif damage == "junk-coeff" and terms and isinstance(terms[0], dict):
+            terms[0]["coeff"] = draw(JUNK)
+        elif damage == "foreign-conductor":
+            terms.append({"i": 1, "j": 1, "coeff": {"conductor": 8, "coeffs": ["1/1", "0/1", "0/1", "0/1"]}})
+        elif damage == "bad-index":
+            terms.append({"i": draw(st.sampled_from((0, 9, -9, True, "1"))), "j": 1, "coeff": CyclotomicNumber.one(M).to_json()})
+        elif damage == "not-an-object":
+            doc = draw(JUNK)
+        elif damage == "truncated":
+            truncated = True
+    text = json.dumps(doc)
+    if truncated:
+        text = text[: draw(st.integers(0, max(0, len(text) - 1)))]
+    return command, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_runs())
+def test_element_commands_keep_the_exit_code_contract(run):
+    command, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "element.json"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--element", str(path)])
+    doc = json.loads(out.getvalue())
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert REASON.match(doc["error"]["reason"]), doc
+        return
+    assert doc["command"] == command
+    if command == "escape":
+        # the verdict reads the degree off the rational form; the chains over Q(zeta_M) are the oracle
+        assert doc["result"]["nilpotency_degree"] == nilpotency_degree(element_from_json(json.loads(text)))

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from cmhodge import (
     build_abstract_cm,
     build_cyclotomic_cm,
     enumerate_orientations,
+    euler_phi,
     field_from_json,
     field_to_json,
     oriented_from_json,
@@ -95,6 +98,62 @@ def test_enumerate_group_order_is_pinned_on_the_abstract_field():
         ("B", "C", "A", "b", "c", "a"),
         ("C", "A", "B", "c", "a", "b"),
     )
+
+
+@pytest.mark.parametrize("m", [7, 15, 16])
+def test_group_order_is_phi_without_listing(monkeypatch, m):
+    galois = build_cyclotomic_cm(m)
+    monkeypatch.setattr(cmfield, "GROUP_ENUMERATION_CAP", 1)
+    assert galois.group_order == euler_phi(m)
+    with pytest.raises(EnumerationCapError):
+        galois.enumerate_group()
+
+
+def _signed_permutation(labels, images):
+    """The permutation of the labels (i, +-1) sending (i, e) to (pi(i), s_i * e), images[i] = (pi(i), s_i)."""
+    return tuple((images[i][0], images[i][1] * e) for i, e in labels)
+
+
+def _random_signed_group(rng, k):
+    """A CM datum from random signed permutations of k pairs; None when the group is not transitive."""
+    labels = tuple((i, e) for e in (1, -1) for i in range(k))
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        pi = list(range(k))
+        if rng.random() < 0.5:
+            rng.shuffle(pi)
+        else:
+            i, j = rng.randrange(k), rng.randrange(k)
+            pi[i], pi[j] = pi[j], pi[i]
+        gens.append(_signed_permutation(labels, [(p, rng.choice((1, -1))) for p in pi]))
+    conjugation = _signed_permutation(labels, [(i, -1) for i in range(k)])
+    try:
+        return build_abstract_cm(labels, gens, conjugation)
+    except NotCMFieldError:
+        return None
+
+
+def test_group_order_matches_the_listing_on_random_signed_permutation_groups():
+    rng = random.Random("schreier-sims")
+    orders = []
+    while len(orders) < 60:
+        galois = _random_signed_group(rng, rng.randrange(1, 6))
+        if galois is not None:
+            orders.append(galois.group_order)
+            assert orders[-1] == len(galois.enumerate_group()), galois.generators
+    assert len(set(orders)) > 5
+
+
+def test_group_order_of_the_hyperoctahedral_group():
+    # B_9 from a 9-cycle, a transposition and one sign change: 2^9 9!, far above the listing cap
+    k = 9
+    labels = tuple((i, e) for e in (1, -1) for i in range(k))
+    cycle = [((i + 1) % k, 1) for i in range(k)]
+    swap = [(1, 1), (0, 1)] + [(i, 1) for i in range(2, k)]
+    flip = [(0, -1)] + [(i, 1) for i in range(1, k)]
+    gens = [_signed_permutation(labels, images) for images in (cycle, swap, flip)]
+    conjugation = _signed_permutation(labels, [(i, -1) for i in range(k)])
+    assert build_abstract_cm(labels, gens, conjugation).group_order == 2**k * math.factorial(k)
 
 
 def test_reached_yields_in_queue_order_as_it_discovers():
