@@ -22,8 +22,8 @@ import itertools
 import json
 import random
 import time
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .algebra import (
     AlgebraElement,
@@ -43,10 +43,11 @@ from .cmfield import (
     orientation_from_pick,
     validate_orientation,
 )
-from .cyclotomic import CyclotomicNumber, euler_phi
+from .cyclotomic import CyclotomicNumber, _context, euler_phi
 from .errors import DomainError, TheoremViolationError
 from .graphs import is_block_system, support_graph, trivial_partition_check
-from .linalg import _accumulate, rank_rational
+from .linalg import rank_rational
+from .polynomials import _reduce
 from .verifiers import (
     CirculantSpec,
     circulant_matrix,
@@ -91,26 +92,6 @@ def _ramanujan_sum(m, e):
     return mu * (euler_phi(m) // euler_phi(t))
 
 
-def _fixed_vectors(field):
-    """The 2n vectors y_a (a = 0..2n-1) whose coordinate at index k is zeta_m^(a*l(k)).
-
-    Here l(k) is the label of k, a unit mod m with l(1) = 1.  A group element
-    moves labels by a unit s and coefficients by zeta_m -> zeta_m^s, so it
-    sends the coordinate zeta_m^(a*l) at label l to zeta_m^(a*s*l) at label
-    s*l: y_a is fixed.  (It is the group average of zeta_m^a times the first
-    coordinate vector.)  The coordinates form a Vandermonde matrix in the
-    2n = phi(m) distinct roots of unity zeta_m^l(k), with exponents a below
-    phi(m), so the y_a are independent over Q(zeta_M) with no rank check.
-    """
-    M = field.working_conductor
-    step = M // field.galois.conductor
-    labels = field.index_to_label
-    return [
-        {k: CyclotomicNumber.root_of_unity(M, step * a * labels[k]) for k in field.signed_indices()}
-        for a in range(2 * field.n)
-    ]
-
-
 def _gram_matrix(m, size):
     """G_ab = c_m(a-b+1) - c_m(a-b-1) for a, b below size: the pairing on the y_a."""
     toeplitz = {e: _ramanujan_sum(m, e + 1) - _ramanujan_sum(m, e - 1) for e in range(1 - size, size)}
@@ -120,21 +101,32 @@ def _gram_matrix(m, size):
 def _fixed_symplectic_pairs(field):
     """Darboux basis of the fixed vectors of the twisted permutation action.
 
+    The fixed vectors are the 2n vectors y_a (a = 0..2n-1) whose coordinate
+    at index k is zeta_m^(a*l(k)), l(k) the label of k, a unit mod m with
+    l(1) = 1.  A group element moves labels by a unit s and coefficients by
+    zeta_m -> zeta_m^s, so it sends the coordinate zeta_m^(a*l) at label l
+    to zeta_m^(a*s*l) at label s*l: y_a is fixed.  The coordinates form a
+    Vandermonde matrix in the 2n = phi(m) distinct roots of unity
+    zeta_m^l(k), with exponents a below phi(m), so the y_a are independent
+    over Q(zeta_M) with no rank check.
+
     In the equivariant gauge (``algebra._gauge_units``) the pairing value at
     index k is sigma_l(zeta_m - zeta_m^-1) with l the label of k, and the
-    group preserves the pairing on the nose.  On the vectors y_a of
-    ``_fixed_vectors`` the pairing is therefore the integer Toeplitz matrix
+    group preserves the pairing on the nose.  On the y_a the pairing is
+    therefore the integer Toeplitz matrix
 
         G_ab = sum over units l of zeta_m^((a-b+1)l) - zeta_m^((a-b-1)l)
              = c_m(a-b+1) - c_m(a-b-1),
 
-    c_m the Ramanujan sum.  Symplectic Gram-Schmidt against G, on Fraction
-    coefficient vectors, gives hyperbolic pairs (u_a, v_a) with
-    pairing(u_a, v_b) = delta_ab and pairing(u_a, u_b) = pairing(v_a, v_b)
-    = 0, each embedded as sum_b c_b y_b.  Returns the pairs and the pairing
-    values on the coordinate vectors; everything is exact.  The equivariant
-    gauge exists for the cyclotomic flavor only, so an abstract field is
-    refused before any work.
+    c_m the Ramanujan sum.  Symplectic Gram-Schmidt against G gives
+    hyperbolic pairs (u_a, v_a) with pairing(u_a, v_b) = delta_ab and
+    pairing(u_a, u_b) = pairing(v_a, v_b) = 0, each a combination
+    sum_b c_b y_b whose rational c_b are kept as integer numerators over one
+    denominator, the representation of ``CyclotomicNumber``.  Returns the
+    pairs, embedded as coordinate dicts, and the pairing values on the
+    coordinate vectors; everything is exact.  The equivariant gauge exists
+    for the cyclotomic flavor only, so an abstract field is refused before
+    any work.
     """
     if field.galois.flavor != "cyclotomic":
         raise DomainError(
@@ -155,86 +147,114 @@ def _fixed_symplectic_pairs(field):
     gram = _gram_matrix(m, size)
 
     def gram_times(x):
-        return [sum(g * c for g, c in zip(row, x)) for row in gram]
+        return [sum(map(mul, row, x)) for row in gram]
 
     def dot(x, y):
-        return sum(p * q for p, q in zip(x, y))
+        return sum(map(mul, x, y))
 
-    # G is antisymmetric, so pairing(x, y) = dot(x, G y) = -dot(G x, y)
-    pool = [[Fraction(int(a == b)) for b in range(size)] for a in range(size)]
+    # a vector is (numerators, denominator > 0); G is antisymmetric, so
+    # pairing(x, y) = dot(x, G y) / (dx dy) = -dot(G x, y) / (dx dy)
+    pool = [([int(a == b) for b in range(size)], 1) for a in range(size)]
     pairs = []
     while pool:
-        u = pool.pop(0)
+        u, du = pool.pop(0)
         gu = gram_times(u)
-        for pos, y in enumerate(pool):
+        for pos, (y, _) in enumerate(pool):
             val = -dot(gu, y)
             if val:
-                v = [c / val for c in pool.pop(pos)]
+                # v = y / pairing(u, y) = y du / val
+                del pool[pos]
+                sign = 1 if val > 0 else -1
+                v, dv = _reduce([sign * du * c for c in y], sign * val)
                 break
         else:
             raise TheoremViolationError(
                 "the pairing restricted to the fixed vectors is degenerate"
             )
-        pairs.append((u, v))
+        pairs.append(((u, du), (v, dv)))
         gv = gram_times(v)
         reduced = []
-        for z in pool:
-            zv, zu = dot(z, gv), dot(z, gu)
-            reduced.append([p - zv * q + zu * r for p, q, r in zip(z, u, v)])
+        for z, dz in pool:
+            # z - pairing(z, v) u + pairing(z, u) v over the denominator dz du dv
+            zv, zu, scale = dot(z, gv), dot(z, gu), du * dv
+            num = [scale * p - zv * q + zu * r for p, q, r in zip(z, u, v)]
+            reduced.append(_reduce(num, dz * scale))
         pool = reduced
 
-    ys = _fixed_vectors(field)
-    zero = CyclotomicNumber.zero(M)
+    # coordinate k of sum_b c_b y_b is sum_b c_b zeta_M^(step b l(k)): the
+    # exponents are distinct mod M, so each numerator lands on its own power
+    # of zeta_M and is reduced modulo Phi_M once
+    ctx = _context(M)
+    terms = ctx.terms
 
-    def embed(coeffs):
-        return {k: sum((y[k] * c for y, c in zip(ys, coeffs) if c), zero) for k in idx}
+    def embed(vec):
+        num, den = vec
+        out = {}
+        for k in idx:
+            coord = [0] * ctx.phi
+            shift = step * field.index_to_label[k]
+            for b, x in enumerate(num):
+                if x:
+                    for t, r in terms[(b * shift) % M]:
+                        coord[t] += x * r
+            out[k] = CyclotomicNumber._make(M, coord, den)
+        return out
 
     return tuple((embed(u), embed(v)) for u, v in pairs), pairing_values
 
 
-def _rank_two_entries(field, pairing_values, s, t):
-    """Canonical entries of x -> s*Q(t, x) + t*Q(s, x), the basic pairing-compatible map.
+def _rank_two_row(s, t, idx):
+    """Row 1 of x -> s*Q(t, x) + t*Q(s, x) before the pairing factor: s_1 t_-j + t_1 s_-j."""
+    return {j: s[1] * t[-j] + t[1] * s[-j] for j in idx}
 
-    The map lies in the algebra, so its entries at the canonical root
-    indices determine it; the others are never computed.
+
+def _from_row(field, pairing_values, row):
+    """The rational element whose gauge matrix G has first row ``row`` times the pairing values.
+
+    In the equivariant gauge (``algebra._gauge_units``) a rational element
+    satisfies G(sigma_s a, sigma_s b) = sigma_s(G(a, b)), where sigma_s
+    multiplies labels by the unit s and acts on coefficients through its
+    lift.  With s = l(a), sigma_s sends index 1 to a, so every canonical
+    entry is a conjugate of row 1: G(a, b) = sigma_s(G(1, sigma_s^-1 b)).
+    The X-coefficient at a canonical (a, b) is then d_a^-1 G(a, b) d_b,
+    halved at b = -a because X_{a,-a} = 2 E_{a,-a}.  ``is_rational`` stays
+    the independent check of the fill.
     """
-    entries = {}
-    for a, b in all_root_indices(field.n):
-        val = (s[a] * t[-b] + t[a] * s[-b]) * pairing_values[-b]
-        if val:
-            entries[(a, b)] = val
-    return entries
-
-
-def _from_gauge_entries(field, entries):
-    """The element whose matrix has these canonical entries in the equivariant gauge.
-
-    Its X-coefficient at a canonical (a, b) is the matrix entry there,
-    halved at b = -a because X_{a,-a} = 2 E_{a,-a}.
-    """
+    m = field.galois.conductor
+    labels = field.index_to_label
+    index_of = field.label_to_index
+    gauged = {j: x * pairing_values[-j] for j, x in row.items() if x}
+    # per first index a: the lift of sigma_l(a) and l(a)^-1 mod m
+    moves = {
+        a: (field.coeff_exponent(field.sigma(labels[a])), pow(labels[a], -1, m))
+        for a in field.signed_indices()
+    }
     d, dinv = _gauge_units(field)
     coeffs = {}
-    for (a, b), val in entries.items():
-        c = dinv[a] * val * d[b]
+    for a, b in all_root_indices(field.n):
+        lift, inverse = moves[a]
+        val = gauged.get(index_of[labels[b] * inverse % m])
+        if val is None:
+            continue
+        c = dinv[a] * val.galois(lift) * d[b]
         coeffs[(a, b)] = c / 2 if b == -a else c
     return AlgebraElement(field, coeffs, _raw=True)
 
 
-def _chain_witness(field, pairs, pairing_values):
-    """The full Jordan chain witness, and the gauge entries of its first half.
+def _chain_rows(field, pairs):
+    """Row 1 (before the pairing factor) of the full Jordan chain witness and of its first half.
 
     The first half is the chain v_1 -> -v_2 -> ... -> +-v_n; the square-zero
-    map of u_n closes it up through u_n -> ... -> u_1.
+    map of u_n, halved, closes it up through u_n -> ... -> u_1.
     """
-    open_chain = {}
+    idx = field.signed_indices()
+    zero = CyclotomicNumber.zero(field.working_conductor)
+    open_row = dict.fromkeys(idx, zero)
     for a in range(field.n - 1):
-        for key, val in _rank_two_entries(field, pairing_values, pairs[a][0], pairs[a + 1][1]).items():
-            _accumulate(open_chain, key, -val)
-    total = dict(open_chain)
+        term = _rank_two_row(pairs[a][0], pairs[a + 1][1], idx)
+        open_row = {j: open_row[j] - term[j] for j in idx}
     u = pairs[-1][0]
-    for key, val in _rank_two_entries(field, pairing_values, u, u).items():
-        _accumulate(total, key, val / 2)
-    return _from_gauge_entries(field, total), open_chain
+    return {j: open_row[j] + u[1] * u[-j] for j in idx}, open_row
 
 
 def rational_nilpotent_witness(field):
@@ -244,26 +264,28 @@ def rational_nilpotent_witness(field):
     vectors: the chain v_1 -> -v_2 -> ... -> +-v_n -> u_n -> ... -> u_1
     visits all 2n basis vectors, so no power below 2n vanishes and the
     support cannot split.  Deterministic, and rational because every
-    ingredient is fixed under the group.
+    ingredient is fixed under the group; only its first row is computed,
+    the rest is the Galois action (``_from_row``).
     """
     pairs, pairing_values = _fixed_symplectic_pairs(field)
-    return _chain_witness(field, pairs, pairing_values)[0]
+    return _from_row(field, pairing_values, _chain_rows(field, pairs)[0])
 
 
 def rational_nilpotent_examples(field):
     """Named rational nilpotents of degrees 2, n and 2n for property sweeps."""
     pairs, pairing_values = _fixed_symplectic_pairs(field)
+    idx = field.signed_indices()
     (u1, v1), (u2, v2) = pairs[0], pairs[1]
-    out = [
-        ("isotropic-uu", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, u1, u2))),
-        ("isotropic-uv", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, u1, v2))),
-        ("isotropic-vv", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, v1, v2))),
-        ("square-zero", _from_gauge_entries(field, _rank_two_entries(field, pairing_values, u1, u1))),
+    full_row, open_row = _chain_rows(field, pairs)
+    rows = [
+        ("isotropic-uu", _rank_two_row(u1, u2, idx)),
+        ("isotropic-uv", _rank_two_row(u1, v2, idx)),
+        ("isotropic-vv", _rank_two_row(v1, v2, idx)),
+        ("square-zero", _rank_two_row(u1, u1, idx)),
+        ("half-chain", open_row),
+        ("full-chain", full_row),
     ]
-    witness, open_chain = _chain_witness(field, pairs, pairing_values)
-    out.append(("half-chain", _from_gauge_entries(field, open_chain)))
-    out.append(("full-chain", witness))
-    return out
+    return [(name, _from_row(field, pairing_values, row)) for name, row in rows]
 
 
 # -- the nine criteria --------------------------------------------------

@@ -252,14 +252,17 @@ def _gauge_units(field):
     q0 = CyclotomicNumber.root_of_unity(M, M // m) - CyclotomicNumber.root_of_unity(
         M, M - M // m
     )
+    # d_k = i eps_k sigma_k(q0^-1): the automorphisms commute with inversion
+    # and fix i, so one inverse serves every k, and 1 / (i eps_k) = -i eps_k
+    q0_inverse = q0.inverse()
     d = {}
     dinv = {}
     for k in range(1, field.n + 1):
         lab = field.index_to_label[k]
         lift = field.coeff_exponent(field.sigma(lab))
-        u = q0.galois(lift) / (i_unit * field.epsilons[k])
-        d[k] = u.inverse()
-        dinv[k] = u
+        unit = i_unit * field.epsilons[k]
+        d[k] = q0_inverse.galois(lift) * unit
+        dinv[k] = q0.galois(lift) * -unit
         d[-k] = one
         dinv[-k] = one
     field.gauge_units = (d, dinv)
@@ -418,9 +421,10 @@ def rational_nilpotency_degree(v):
     """``nilpotency_degree`` of a rational element of a cyclotomic field, from its form over F.
 
     F is the fixed field of the coefficient action: Q(i) for odd m, Q when
-    4 | m.  The form is the 2n x 2n matrix W of N on the fixed vectors y_a of
-    ``acceptance._fixed_vectors`` (``_fixed_form``), similar to N, so it has
-    the same degree; the chains run on its integer rows.  Over Q(i) = Q + Qi,
+    4 | m.  The form is the 2n x 2n matrix W of N on the fixed vectors y_a
+    (``_fixed_form``; y_a has coordinate zeta_m^(a l(k)) at index k, see
+    ``acceptance._fixed_symplectic_pairs``), similar to N, so it has the
+    same degree; the chains run on its integer rows.  Over Q(i) = Q + Qi,
     W = A + iB acts on Q-coordinates (real parts, then imaginary parts) as
     [[A, -B], [B, A]]; the chains start at the first 2n coordinate vectors,
     one per y_a, and the bound stays 2n, the dimension over F.  The element
@@ -441,9 +445,9 @@ def _fixed_form(v):
     """Integer rows of a positive multiple of N's matrix over F on the fixed vectors, written over Q.
 
     In the equivariant gauge (``_gauge_units``), G = d N d^-1, a rational N
-    maps each fixed vector to a fixed vector, and a fixed vector is
-    determined by its coordinate at index 1, whose label is 1.  So column a
-    of W holds the coordinates of
+    maps each fixed vector y_a (``rational_nilpotency_degree``) to a fixed
+    vector, and a fixed vector is determined by its coordinate at index 1,
+    whose label is 1.  So column a of W holds the coordinates of
 
         (G y_a)_1 = sum over k of G_1k zeta_m^(a l(k))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import is_rational, nilpotency_degree, rational_nilpotency_degree
 from .cmfield import basis_pos
-from .errors import TheoremViolationError, UsageError
+from .errors import PreconditionError, TheoremViolationError, UsageError
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _degree_and_partition(field, v, caller):
     coefficients.
     """
     if not is_rational(field, v):
-        raise UsageError(f"{caller} needs a rational element")
+        raise PreconditionError(f"{caller} needs a rational element", reason="element-not-rational")
     if field.galois.flavor == "cyclotomic":
         degree = rational_nilpotency_degree(v)  # raises when not nilpotent
     else:

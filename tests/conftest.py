@@ -53,6 +53,22 @@ def reference_from_entries(field, entries):
     return AlgebraElement(field, coeffs, _raw=True)
 
 
+def fixed_vectors(field):
+    """Reference: the 2n fixed vectors y_a (a = 0..2n-1), coordinate zeta_m^(a*l(k)) at index k.
+
+    ``acceptance._fixed_symplectic_pairs`` embeds its Darboux pairs in these
+    vectors without building them, and ``algebra._fixed_form`` writes
+    matrices on them; this builds them one root of unity at a time.
+    """
+    M = field.working_conductor
+    step = M // field.galois.conductor
+    labels = field.index_to_label
+    return [
+        {k: CyclotomicNumber.root_of_unity(M, step * a * labels[k]) for k in field.signed_indices()}
+        for a in range(2 * field.n)
+    ]
+
+
 def reference_bracket(u, v):
     """Reference: the matrix commutator of the realizations, read back with the membership check."""
     pu, pv = u.entries(), v.entries()

@@ -488,6 +488,18 @@ def test_escape_from_element_file(capsys, witness_file):
     assert doc["result"]["closure_dimension"] == 21
 
 
+def test_escape_on_a_non_rational_element_exits_3(capsys, tmp_path, oriented7):
+    # a root vector is well formed and nilpotent, but no group element fixes it
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps(root_vector(oriented7, 1, 2).to_json()))
+    code, doc = run_cli(capsys, "escape", "--element", str(path))
+    assert code == 3
+    assert doc["error"] == {
+        "reason": "element-not-rational",
+        "message": "escape_verdict needs a rational element",
+    }
+
+
 @pytest.mark.parametrize(
     "extra,named",
     [

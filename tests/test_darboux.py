@@ -3,9 +3,9 @@
 The closed-form descent in ``cmhodge.acceptance`` is checked against the
 route it replaced, kept here as the reference: average coordinate vectors
 over the whole group, keep the first 2n that are independent over Q(i),
-and run symplectic Gram-Schmidt on them in Q(zeta_M).  The witness, read
-at the canonical root indices only, is checked against the full (2n)^2
-matrix assembly read back with the membership check.
+and run symplectic Gram-Schmidt on them in Q(zeta_M).  The witness, built
+from its first row and the Galois action, is checked against the full
+(2n)^2 matrix assembly read back with the membership check.
 """
 
 import itertools
@@ -13,10 +13,9 @@ from math import gcd
 
 import pytest
 
-from cmhodge import CyclotomicNumber, reynolds_average, root_vector
+from cmhodge import CyclotomicNumber, polynomials, reynolds_average, root_vector
 from cmhodge.acceptance import (
     _fixed_symplectic_pairs,
-    _fixed_vectors,
     _gram_matrix,
     _ramanujan_sum,
     rational_nilpotent_examples,
@@ -26,10 +25,18 @@ from cmhodge.algebra import _gauge_units
 from cmhodge.cmfield import GaloisCMData
 from cmhodge.errors import TheoremViolationError
 from cmhodge.linalg import _accumulate, rank_rational
-from conftest import first_oriented, reference_from_entries
+from conftest import first_oriented, fixed_vectors, reference_from_entries
 
 LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))]
-ORACLE_LADDER = LADDER[:3] + [(15, (1, 3, 3, 1)), (16, (1, 3, 3, 1))]
+# 4 | m (12, 16, 20), odd prime (7, 11, 13), odd composite (9, 15, 21)
+ORACLE_LADDER = LADDER[:3] + [
+    (12, (1, 1, 1, 1)),
+    (13, (1, 5, 5, 1)),
+    (15, (1, 3, 3, 1)),
+    (16, (1, 3, 3, 1)),
+    (20, (1, 3, 3, 1)),
+    (21, (1, 5, 5, 1)),
+]
 
 
 @pytest.fixture(scope="module", params=LADDER, ids=lambda case: f"m{case[0]}")
@@ -184,11 +191,12 @@ def test_pairs_form_a_darboux_basis(oriented):
 
 
 def test_fixed_vectors_have_full_fraction_rank(oriented):
-    # the Vandermonde argument of _fixed_vectors, checked by elimination on
-    # the Fraction coordinates of the vectors and their multiples by i
+    # the Vandermonde argument of _fixed_symplectic_pairs, checked by
+    # elimination on the Fraction coordinates of the vectors and their
+    # multiples by i
     idx = oriented.signed_indices()
     i_unit = CyclotomicNumber.i_unit(oriented.working_conductor)
-    basis = _fixed_vectors(oriented)
+    basis = fixed_vectors(oriented)
     assert len(basis) == 2 * oriented.n
     assert rank_rational(_fraction_rows(idx, i_unit, basis)) == 2 * len(basis)
 
@@ -197,21 +205,21 @@ def test_fixed_vectors_have_full_fraction_rank(oriented):
 def test_pairs_equal_the_averaging_oracle(m, hodge):
     field = first_oriented(m, 3, hodge)
     averages = _averaged_fixed_vectors(field)
-    assert _fixed_vectors(field) == averages
+    assert fixed_vectors(field) == averages
     expected = _reference_pairs(field, averages)
     assert _fixed_symplectic_pairs(field) == expected
 
 
 def test_fixed_vectors_are_fixed_by_the_generators_and_conjugation(oriented):
     galois = oriented.galois
-    for y in _fixed_vectors(oriented):
+    for y in fixed_vectors(oriented):
         for g in galois.generators + (galois.conjugation,):
             assert _act(oriented, g, y) == y
 
 
 def test_gram_matrix_is_the_pairing_of_the_fixed_vectors(oriented):
     pairing_values = _gauge_pairing_values(oriented)
-    ys = _fixed_vectors(oriented)
+    ys = fixed_vectors(oriented)
     gram = _gram_matrix(oriented.galois.conductor, len(ys))
     for (a, ya), (b, yb) in itertools.product(enumerate(ys), repeat=2):
         assert _pairing(oriented, pairing_values, ya, yb) == gram[a][b]
@@ -259,6 +267,40 @@ def test_witness_makes_no_rank_call_and_no_group_enumeration(monkeypatch):
     witness = rational_nilpotent_witness(field)
     assert calls == []
     assert not witness.is_zero()
+
+
+def test_witness_inverts_one_element_per_field(monkeypatch):
+    # the gauge units invert q0 = zeta_m - zeta_m^-1 once and conjugate it;
+    # the Gram-Schmidt and the fill divide by integers only
+    calls = []
+    real = polynomials.poly_xgcd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("cmhodge.cyclotomic.poly_xgcd", counting)
+    for m, hodge in LADDER:
+        calls.clear()
+        rational_nilpotent_witness(first_oriented(m, 3, hodge))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m,hodge", ORACLE_LADDER, ids=[f"m{m}" for m, _ in ORACLE_LADDER])
+def test_gauge_units_equal_one_inverse_per_index(m, hodge):
+    # reference: u_k = sigma_k(q0) / (i eps_k), inverted index by index
+    field = first_oriented(m, 3, hodge)
+    M = field.working_conductor
+    step = M // m
+    q0 = CyclotomicNumber.root_of_unity(M, step) - CyclotomicNumber.root_of_unity(M, -step)
+    i_unit = CyclotomicNumber.i_unit(M)
+    d, dinv = _gauge_units(field)
+    one = CyclotomicNumber.one(M)
+    for k in range(1, field.n + 1):
+        lift = field.coeff_exponent(field.sigma(field.index_to_label[k]))
+        u = q0.galois(lift) / (i_unit * field.epsilons[k])
+        assert (d[k], dinv[k]) == (u.inverse(), u)
+        assert d[-k] == dinv[-k] == one
 
 
 def test_polarization_state_is_declared_up_front():

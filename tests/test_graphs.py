@@ -2,6 +2,7 @@ import pytest
 
 from cmhodge import (
     Partition,
+    PreconditionError,
     UsageError,
     cartan_elements,
     is_block_system,
@@ -72,5 +73,6 @@ def test_trivial_partition_check_small_degree(oriented7):
 
 
 def test_trivial_partition_check_needs_rational_input(oriented7):
-    with pytest.raises(UsageError):
+    with pytest.raises(PreconditionError) as err:
         trivial_partition_check(root_vector(oriented7, 1, 2))
+    assert err.value.reason == "element-not-rational"

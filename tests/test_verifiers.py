@@ -176,8 +176,9 @@ def test_escape_requires_nondegenerate_field():
 
 
 def test_escape_requires_rational_nilpotent_input(oriented7):
-    with pytest.raises(UsageError):
+    with pytest.raises(PreconditionError) as err:
         escape_verdict(oriented7, root_vector(oriented7, 1, 2))
+    assert err.value.reason == "element-not-rational"
     avg = reynolds_average(oriented7, root_vector(oriented7, 1, 2))
     with pytest.raises(NotNilpotentError):
         escape_verdict(oriented7, avg)
