@@ -318,8 +318,13 @@ def galois_act_element(field, perm, v):
 
 
 def is_rational(field, v):
-    """Fixed by every generator (hence by the whole group)."""
-    for g in field.galois.generators + (field.galois.conjugation,):
+    """Fixed by every element of ``field.galois.group_generators``, hence by the whole group.
+
+    On a cyclotomic field those are the generators alone.  Conjugation is a
+    word in them there, and the dearest action to apply: it flips the sign
+    of every index, so every coefficient meets a dense gauge factor.
+    """
+    for g in field.galois.group_generators:
         if galois_act_element(field, g, v) != v:
             return False
     return True
@@ -526,7 +531,10 @@ def generated_subalgebra(seeds):
     so the closure is run again with the exact ``SpanBasis``, as it is when
     p divides some coordinate's denominator.  Both passes accept the same
     brackets, and so return the same basis, unless p turns an independent
-    bracket into a false reject.
+    bracket into a false reject.  The argument holds for any completely
+    split p; ``split_prime`` takes a word-size one so that the pass does
+    single-digit arithmetic, and its size only sets how often the exact
+    pass reruns.
     """
     seeds = list(seeds)
     if not seeds:

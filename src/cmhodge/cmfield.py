@@ -60,6 +60,11 @@ class GaloisCMData:
     """A transitive permutation group with a central fixed-point-free involution.
 
     Permutations are tuples of images aligned with ``labels``.
+    ``group_generators`` generates the whole group: on the cyclotomic
+    flavor (built only by ``build_cyclotomic_cm``) the generators alone,
+    since they give all of (Z/m)^* and so contain conjugation, -1; on the
+    abstract flavor the generators and conjugation.  Walks that need only
+    the group's orbits or fixed points use it.
     """
 
     def __init__(self, labels, generators, conjugation, flavor, conductor=None):
@@ -83,6 +88,9 @@ class GaloisCMData:
             raise UsageError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.conductor = conductor
+        self.group_generators = self.generators
+        if flavor == "abstract":
+            self.group_generators += (self.conjugation,)
         self._group = None
         self._validate()
 
@@ -222,7 +230,7 @@ def _stabilizer_chain_order(galois):
             level += 1
         return g, level
 
-    gens = [g for g in galois.generators + (galois.conjugation,) if g != identity]
+    gens = [g for g in galois.group_generators if g != identity]
     for g in gens:
         if all(apply(g, b) == b for b in base):
             add_level(g)

@@ -108,7 +108,7 @@ def support_graph(v):
 
 
 def is_block_system(field, partition):
-    """Check that every generator maps every block onto a block.
+    """Check that every element of ``group_generators`` maps every block onto a block.
 
     The first failure, in generator-then-block order, is returned as the
     witness: the offending generator (as a label image list), the block,
@@ -124,8 +124,7 @@ def is_block_system(field, partition):
         raise UsageError("partition does not cover all signed indices")
     have = set(block_sets)
     n = field.n
-    gens = field.galois.generators + (field.galois.conjugation,)
-    for g in gens:
+    for g in field.galois.group_generators:
         for b, bset in zip(partition.blocks, block_sets):
             image = frozenset(field.act_index(g, x) for x in bset)
             if image not in have:

@@ -141,13 +141,18 @@ def _is_prime(n):
 
 
 def split_prime(M):
-    """The first prime p = 1 (mod M) above 2^61, and a primitive M-th root of unity mod p.
+    """The first prime p = 1 (mod M) above 2^29, and a primitive M-th root of unity mod p.
 
     Such a p splits completely in Q(zeta_M), and zeta_M -> omega is a ring
     map from the p-integral elements of Q(zeta_M) onto F_p.  omega is
     a^((p-1)/M) for the least a >= 2 for which that power has order M.
+    Any completely split prime serves ``ModularSpan``; its size only sets
+    how often a nonzero coordinate vanishes mod p, heuristically once in p.
+    For every working conductor the group cap admits (M at most 92820) p
+    stays below 2^30, so a residue is one 30-bit CPython digit and a
+    product of two is a two-digit int.
     """
-    p = 2**61 + 1 + (-(2**61)) % M
+    p = 2**29 + 1 + (-(2**29)) % M
     while not _is_prime(p):
         p += M
     a = 2
@@ -171,11 +176,11 @@ class ModularSpan:
 
     Same ``insert``/``dimension`` interface as ``SpanBasis``.  A coordinate
     c = sum num_i zeta^i / den goes to sum num_i omega^i * den^-1 mod p, and
-    rows are kept with a unit pivot over F_p.  Vectors whose images are
-    independent mod p are independent over Q(zeta_M); the converse can
-    fail, so ``dimension`` is a lower bound for the exact one.  A
-    coordinate with p dividing its denominator has no image and raises
-    ``UnluckyPrimeError``.
+    rows are kept with a unit pivot over F_p; p < 2^30, so every residue
+    is a one-digit int.  Vectors whose images are independent mod p are
+    independent over Q(zeta_M); the converse can fail, so ``dimension`` is
+    a lower bound for the exact one.  A coordinate with p dividing its
+    denominator has no image and raises ``UnluckyPrimeError``.
     """
 
     def __init__(self, M):

@@ -227,9 +227,9 @@ def escape_verdict(field, nilpotent):
 
 
 def _edge_orbits(field):
-    """Galois orbits of unordered index pairs, walked from the generators, in deterministic order."""
+    """Galois orbits of unordered index pairs, walked from ``group_generators``, in deterministic order."""
     n = field.n
-    gens = field.galois.generators + (field.galois.conjugation,)
+    gens = field.galois.group_generators
 
     def moves(edge):
         a, b = edge

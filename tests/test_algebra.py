@@ -462,6 +462,105 @@ def test_conjugation_negates_diagonal(oriented7):
     assert not is_rational(oriented7, h)
 
 
+# odd prime, prime power and composite m, and 4 | m; cyclic and non-cyclic (Z/m)^*
+PREMISE_FIELDS = [
+    (7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (12, (1, 1, 1, 1)), (13, (1, 5, 5, 1)),
+    (15, (1, 3, 3, 1)), (16, (1, 3, 3, 1)), (20, (1, 3, 3, 1)), (21, (1, 5, 5, 1)),
+]
+
+
+def _word_for_conjugation(galois):
+    """Generators whose product is conjugation, multiplication by -1: a breadth-first path from 1 to m - 1."""
+    m = galois.conductor
+    parent = {1: None}
+    queue = [1]
+    for a in queue:
+        for g in galois.generators:
+            b = galois.apply(g, a)
+            if b not in parent:
+                parent[b] = (a, g)
+                queue.append(b)
+    assert m - 1 in parent, "conjugation is not a word in the generators"
+    word = []
+    a = m - 1
+    while parent[a] is not None:
+        a, g = parent[a]
+        word.append(g)
+    return word
+
+
+def _random_elements(field, rng, count):
+    M = field.working_conductor
+    roots = all_root_indices(field.n)
+    out = []
+    for _ in range(count):
+        support = rng.sample(roots, rng.randrange(1, 4))
+        coeffs = {
+            ij: CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, 1, 3))
+            for ij in support
+        }
+        out.append(element_from_coeffs(field, coeffs))
+    return out
+
+
+def _fixed_by_generators_and_conjugation(field, v):
+    """Reference: the rationality check that also applies conjugation."""
+    galois = field.galois
+    return all(galois_act_element(field, g, v) == v for g in galois.generators + (galois.conjugation,))
+
+
+@pytest.mark.parametrize("m,hodge", PREMISE_FIELDS, ids=[f"m{m}" for m, _ in PREMISE_FIELDS])
+def test_conjugation_acts_as_a_word_in_the_generators(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    galois = field.galois
+    word = _word_for_conjugation(galois)
+    rng = random.Random(f"conjugation-word-{m}")
+    randoms = _random_elements(field, rng, 4)
+    for v in randoms + [reynolds_average(field, u) for u in randoms[:2]]:
+        moved = v
+        for g in word:
+            moved = galois_act_element(field, g, moved)
+        assert moved == galois_act_element(field, galois.conjugation, v)
+
+
+@pytest.mark.parametrize("m,hodge", PREMISE_FIELDS, ids=[f"m{m}" for m, _ in PREMISE_FIELDS])
+def test_is_rational_agrees_with_the_check_that_applies_conjugation(m, hodge):
+    from cmhodge.acceptance import rational_nilpotent_examples, rational_nilpotent_witness
+
+    field = first_oriented(m, 3, hodge)
+    conj = field.galois.conjugation
+    rng = random.Random(f"rationality-{m}")
+    randoms = _random_elements(field, rng, 4)
+    rational = [rational_nilpotent_witness(field)]
+    rational += [v for _, v in rational_nilpotent_examples(field)]
+    rational += [reynolds_average(field, u) for u in randoms]
+    # u + conj(u) is fixed by conjugation but not rational: the generators must catch it
+    conj_fixed = [u + galois_act_element(field, conj, u) for u in randoms]
+    not_rational = randoms + conj_fixed + cartan_elements(field)
+    for v in rational + not_rational:
+        assert is_rational(field, v) == _fixed_by_generators_and_conjugation(field, v)
+    assert all(is_rational(field, v) for v in rational)
+    assert not any(is_rational(field, v) for v in not_rational)
+
+
+def test_is_rational_on_an_abstract_field_still_checks_conjugation():
+    galois = abstract_z6()
+    field = validate_orientation(
+        galois,
+        Orientation(
+            3,
+            {"a": (3, 0), "b": (2, 1), "c": (2, 1),
+             "A": (0, 3), "B": (1, 2), "C": (1, 2)},
+        ),
+    )
+    assert galois.group_generators == galois.generators + (galois.conjugation,)
+    # the 3-cycle permutes the Cartan elements, conjugation negates them
+    h = sum(cartan_elements(field)[1:], cartan_elements(field)[0])
+    assert all(galois_act_element(field, g, h) == h for g in galois.generators)
+    assert galois_act_element(field, galois.conjugation, h) == -h
+    assert not is_rational(field, h)
+
+
 def test_abstract_action_is_bare_substitution():
     galois = abstract_z6()
     field = validate_orientation(

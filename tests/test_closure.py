@@ -20,7 +20,8 @@ from cmhodge.acceptance import rational_nilpotent_witness
 from cmhodge.linalg import ModularSpan, SpanBasis, split_prime
 from conftest import abstract_z6, first_oriented
 
-LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (16, (1, 3, 3, 1)), (11, (2, 3, 3, 2))]
+# the escape benchmark's fields, then m = 13 (n = 6) past them
+LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (16, (1, 3, 3, 1)), (11, (2, 3, 3, 2)), (13, (1, 5, 5, 1))]
 
 
 def exact_closure(seeds):
@@ -72,6 +73,14 @@ def test_escape_witness_closures_take_the_modular_route(witness_case, routes):
     field, witness = witness_case
     n = field.n
     assert check_against_exact(cartan_elements(field) + [witness], routes) == n * (2 * n + 1)
+
+
+def test_m23_witness_closure_takes_the_modular_route(routes):
+    # n = 11, a CI rung; the ladder's m = 13 case carries the exact comparison
+    field = first_oriented(23, 3, (1, 10, 10, 1))
+    seeds = cartan_elements(field) + [rational_nilpotent_witness(field)]
+    dim, basis = generated_subalgebra(seeds)
+    assert dim == len(basis) == 253 and routes == ["modular"]
 
 
 def _random_coefficient(rng, M, cyclotomic):

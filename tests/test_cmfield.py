@@ -156,6 +156,26 @@ def test_group_order_of_the_hyperoctahedral_group():
     assert build_abstract_cm(labels, gens, conjugation).group_order == 2**k * math.factorial(k)
 
 
+@pytest.mark.parametrize("m", [7, 9, 11, 12, 13, 15, 16, 20, 21])
+def test_cyclotomic_generators_alone_reach_every_label(m):
+    galois = build_cyclotomic_cm(m)
+    assert galois.group_generators == galois.generators
+    moves = lambda lab: (galois.apply(g, lab) for g in galois.generators)
+    # the group acts on the units by multiplication, so the label reached from
+    # 1 is the group element: m - 1 among them makes conjugation a word in them
+    assert set(cmfield._reached(1, moves)) == set(galois.labels)
+    assert galois.group_order == euler_phi(m)
+
+
+def test_abstract_group_generators_keep_conjugation():
+    galois = abstract_z6()
+    assert galois.group_generators == galois.generators + (galois.conjugation,)
+    # the 3-cycle alone never reaches a conjugate label
+    moves = lambda lab: (galois.apply(g, lab) for g in galois.generators)
+    assert set(cmfield._reached("a", moves)) == {"a", "b", "c"}
+    assert galois.group_order == 6
+
+
 def test_reached_yields_in_queue_order_as_it_discovers():
     expanded = []
 
