@@ -19,7 +19,6 @@ from .algebra import (
     galois_act_element,
     generated_subalgebra,
     is_rational,
-    nilpotency_degree,
     rational_nilpotency_degree,
     reynolds_average,
     root_vector,

@@ -130,8 +130,7 @@ def _fixed_symplectic_pairs(field):
     """
     if field.galois.flavor != "cyclotomic":
         raise DomainError(
-            "the constructive witness needs a cyclotomic field; "
-            "give the nilpotent of an abstract field with --element",
+            "the constructive witness needs a cyclotomic field",
             reason="witness-needs-cyclotomic",
         )
     m = field.galois.conductor

@@ -23,7 +23,7 @@ from operator import mul
 
 from .cmfield import basis_pos
 from .cyclotomic import CyclotomicNumber, _context
-from .errors import ConductorMismatchError, NotNilpotentError, UsageError
+from .errors import ConductorMismatchError, DomainError, NotNilpotentError, UsageError
 from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError, _accumulate
 
 
@@ -85,13 +85,6 @@ class AlgebraElement:
             sorted(self.coeffs, key=lambda ij: (basis_pos(n, ij[0]), basis_pos(n, ij[1])))
         )
 
-    def coefficient(self, i, j):
-        """Coefficient of X_{i,j}, folding through the identification."""
-        c = self.coeffs.get(canonical_root_index(self.field.n, i, j))
-        if c is None:
-            return CyclotomicNumber.zero(self.field.working_conductor)
-        return _fold(self.field, i, j, c)[1]  # folding by +-1 is its own inverse
-
     def _check_compatible(self, other):
         if self.field != other.field:
             raise UsageError("elements live over different oriented fields")
@@ -131,20 +124,7 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    # -- matrix realization ---------------------------------------------
-
-    def entries(self):
-        """Sparse 2n x 2n realization: {(row, col): coefficient} on signed indices.
-
-        One rule covers every X_{i,j} = E_{i,j} + ratio(i, j) E_{-j,-i}: with
-        ratio(i, i) = -1 and ratio(i, -i) = 1 it gives X_{i,i} = E_{i,i} - E_{-i,-i}
-        and X_{i,-i} = 2 E_{i,-i}.
-        """
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            _accumulate(out, (i, j), c)
-            _accumulate(out, (-j, -i), c * _ratio(self.field, i, j))
-        return out
+    # -- span coordinates -----------------------------------------------
 
     def vector(self, coord_of):
         """Coefficients as a sparse coordinate dict for span computations."""
@@ -322,8 +302,17 @@ def is_rational(field, v):
 
     On a cyclotomic field those are the generators alone.  Conjugation is a
     word in them there, and the dearest action to apply: it flips the sign
-    of every index, so every coefficient meets a dense gauge factor.
+    of every index, so every coefficient meets a dense gauge factor.  An
+    abstract field is refused with ``DomainError``: its bare index
+    substitution (``galois_act_element``) is not a group action, so being
+    fixed by it says nothing about rationality.
     """
+    if field.galois.flavor != "cyclotomic":
+        raise DomainError(
+            "rationality needs the Galois action on a cyclotomic field; "
+            "an abstract field has none",
+            reason="rationality-needs-cyclotomic",
+        )
     for g in field.galois.group_generators:
         if galois_act_element(field, g, v) != v:
             return False
@@ -373,57 +362,8 @@ def bracket(u, v):
     return AlgebraElement(field, out, _raw=True)
 
 
-def _mat_vec(cols, vec):
-    """N applied to a sparse vector, with N given column by column."""
-    out = {}
-    for b, y in vec.items():
-        for a, x in cols.get(b, ()):
-            _accumulate(out, a, x * y)
-    return out
-
-
-def _chain_search(size, starts, step):
-    """Longest chain N e_b, N^2 e_b, ... before it vanishes; raises if N^size is still nonzero.
-
-    ``starts`` yields N e_b for the basis vectors e_b of a space of dimension
-    ``size`` and ``step`` applies N; a zero vector is falsy.  N^l = 0 exactly
-    when N^l e_b = 0 for every e_b, so the degree is the longest chain.  A
-    chain of full length ``size`` that ends in zero stops the search: its
-    vectors N^i e_b (0 <= i < size) are independent (apply N^(size-1-i) to a
-    relation whose first nonzero term is at i), so they form a basis that
-    N^size kills, and no later chain can be longer or fail to end.
-    """
-    degree = 1
-    for vec in starts:
-        length = 1
-        while vec:
-            if length >= size:
-                raise NotNilpotentError("the realization is not nilpotent")
-            vec = step(vec)
-            length += 1
-        if length == size:
-            return size
-        degree = max(degree, length)
-    return degree
-
-
-def nilpotency_degree(v):
-    """Smallest l with N^l = 0, by chains of the 2n x 2n realization over Q(zeta_M).
-
-    Raises ``NotNilpotentError`` if N^(2n) is still nonzero.  It works for
-    any element, rational or not, on either flavor, and is the oracle for
-    ``rational_nilpotency_degree``, the route the verdicts take on rational
-    elements of cyclotomic fields.
-    """
-    cols = {}
-    for (a, b), x in v.entries().items():
-        cols.setdefault(b, []).append((a, x))
-    starts = (dict(cols.get(b, ())) for b in v.field.signed_indices())
-    return _chain_search(2 * v.field.n, starts, lambda vec: _mat_vec(cols, vec))
-
-
 def rational_nilpotency_degree(v):
-    """``nilpotency_degree`` of a rational element of a cyclotomic field, from its form over F.
+    """Smallest l with N^l = 0 for a rational element N of a cyclotomic field, from its form over F.
 
     F is the fixed field of the coefficient action: Q(i) for odd m, Q when
     4 | m.  The form is the 2n x 2n matrix W of N on the fixed vectors y_a
@@ -434,6 +374,14 @@ def rational_nilpotency_degree(v):
     [[A, -B], [B, A]]; the chains start at the first 2n coordinate vectors,
     one per y_a, and the bound stays 2n, the dimension over F.  The element
     must be rational (``is_rational``); for any other, W is not N's matrix.
+
+    The degree is the longest chain W e_a, W^2 e_a, ... before it vanishes:
+    W^l = 0 exactly when W^l e_a = 0 for every basis vector e_a.  A chain of
+    full length 2n that ends in zero stops the search: its vectors W^i e_a
+    (0 <= i < 2n) are independent (apply W^(2n-1-i) to a relation whose
+    first nonzero term is at i), so they form a basis that W^(2n) kills,
+    and no later chain can be longer or fail to end.  Raises
+    ``NotNilpotentError`` if W^(2n) is still nonzero.
     """
     size = 2 * v.field.n
     rows = _fixed_form(v)
@@ -442,8 +390,19 @@ def rational_nilpotency_degree(v):
         out = [sum(map(mul, row, vec)) for row in rows]
         return out if any(out) else None
 
-    starts = (step([int(b == a) for b in range(len(rows))]) for a in range(size))
-    return _chain_search(size, starts, step)
+    degree = 1
+    for a in range(size):
+        vec = step([int(b == a) for b in range(len(rows))])
+        length = 1
+        while vec:
+            if length >= size:
+                raise NotNilpotentError("the realization is not nilpotent")
+            vec = step(vec)
+            length += 1
+        if length == size:
+            return size
+        degree = max(degree, length)
+    return degree
 
 
 def _fixed_form(v):

@@ -332,9 +332,6 @@ class CyclotomicNumber:
                     out[t] += c * r
         return CyclotomicNumber._make(M, out, self.den)
 
-    def conjugate(self):
-        return self.galois(self.conductor - 1)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import is_rational, nilpotency_degree, rational_nilpotency_degree
+from .algebra import is_rational, rational_nilpotency_degree
 from .cmfield import basis_pos
 from .errors import PreconditionError, TheoremViolationError, UsageError
 
@@ -145,17 +145,13 @@ def _degree_and_partition(field, v, caller):
 
     Enforces the bound shared by every verdict on such an element: a degree
     above n forces the trivial partition.  ``caller`` names the public
-    function in the error for a non-rational element.  On a cyclotomic
-    field the degree is read off the element's form over the fixed field;
-    an abstract field has no such form and takes the chains over the
-    coefficients.
+    function in the error for a non-rational element.  The degree is read
+    off the element's form over the fixed field; ``is_rational`` refuses an
+    abstract field, which has no such form.
     """
     if not is_rational(field, v):
         raise PreconditionError(f"{caller} needs a rational element", reason="element-not-rational")
-    if field.galois.flavor == "cyclotomic":
-        degree = rational_nilpotency_degree(v)  # raises when not nilpotent
-    else:
-        degree = nilpotency_degree(v)
+    degree = rational_nilpotency_degree(v)  # raises when not nilpotent
     _, partition = support_graph(v)
     if degree > field.n and len(partition.blocks) != 1:
         raise TheoremViolationError(

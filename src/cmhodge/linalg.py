@@ -84,31 +84,19 @@ class SpanBasis:
         return len(self.rows)
 
     def insert(self, vec):
-        """Reduce vec against the span; add it if independent.  True if added."""
-        rest = self._reduce(vec)
-        if not rest:
-            return False
-        pivot = min(rest)
-        inv = rest[pivot].inverse()
-        self.rows[pivot] = {c: x * inv for c, x in rest.items()}
-        return True
-
-    def contains(self, vec):
-        """True when vec already lies in the span (vec is left untouched)."""
-        return not self._reduce(vec)
-
-    def _reduce(self, vec):
-        """A reduced copy of vec: empty when vec lies in the span, else led by a free pivot."""
+        """Reduce a copy of vec against the span; add it if independent.  True if added."""
         vec = {c: x for c, x in vec.items() if x}
         while vec:
             pivot = min(vec)
             row = self.rows.get(pivot)
             if row is None:
-                break
+                inv = vec[pivot].inverse()
+                self.rows[pivot] = {c: x * inv for c, x in vec.items()}
+                return True
             factor = -vec[pivot]
             for c, x in row.items():
                 _accumulate(vec, c, factor * x)
-        return vec
+        return False
 
 
 # Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and

@@ -4,6 +4,7 @@ from cmhodge import (
     AlgebraElement,
     CyclotomicNumber,
     DomainError,
+    NotNilpotentError,
     build_abstract_cm,
     build_cyclotomic_cm,
     canonical_root_index,
@@ -27,6 +28,44 @@ def abstract_z6():
     rot = ("b", "c", "a", "B", "C", "A")
     conj = ("A", "B", "C", "a", "b", "c")
     return build_abstract_cm(labels, (rot,), conj)
+
+
+def entries(v):
+    """Reference: the sparse 2n x 2n realization {(row, col): coefficient} on signed indices.
+
+    One rule covers every X_{i,j} = E_{i,j} + ratio(i, j) E_{-j,-i}: with
+    ratio(i, i) = -1 and ratio(i, -i) = 1 it gives X_{i,i} = E_{i,i} - E_{-i,-i}
+    and X_{i,-i} = 2 E_{i,-i}.
+    """
+    out = {}
+    for (i, j), c in v.coeffs.items():
+        _accumulate(out, (i, j), c)
+        _accumulate(out, (-j, -i), c * _ratio(v.field, i, j))
+    return out
+
+
+def _matrix_power_degree(v):
+    """Reference: multiply out N, N^2, ... until the power vanishes or reaches N^(2n)."""
+    rows = {}
+    for (a, b), x in entries(v).items():
+        rows.setdefault(a, {})[b] = x
+    power = rows
+    degree = 1
+    while power:
+        if degree >= 2 * v.field.n:
+            raise NotNilpotentError("the realization is not nilpotent")
+        nxt = {}
+        for a, row in power.items():
+            out = {}
+            for b, x in row.items():
+                for c, y in rows.get(b, {}).items():
+                    out[c] = out[c] + x * y if c in out else x * y
+            out = {c: z for c, z in out.items() if z}
+            if out:
+                nxt[a] = out
+        power = nxt
+        degree += 1
+    return degree
 
 
 def reference_from_entries(field, entries):
@@ -71,7 +110,7 @@ def fixed_vectors(field):
 
 def reference_bracket(u, v):
     """Reference: the matrix commutator of the realizations, read back with the membership check."""
-    pu, pv = u.entries(), v.entries()
+    pu, pv = entries(u), entries(v)
     out = {}
     for (a, b), x in pu.items():
         for (c, d), y in pv.items():

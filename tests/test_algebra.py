@@ -21,7 +21,6 @@ from cmhodge import (
     galois_act_element,
     generated_subalgebra,
     is_rational,
-    nilpotency_degree,
     rational_nilpotency_degree,
     reynolds_average,
     root_vector,
@@ -29,7 +28,14 @@ from cmhodge import (
     zero_element,
 )
 from cmhodge.algebra import _ratio
-from conftest import abstract_z6, first_oriented, reference_bracket, reference_from_entries
+from conftest import (
+    _matrix_power_degree,
+    abstract_z6,
+    entries,
+    first_oriented,
+    reference_bracket,
+    reference_from_entries,
+)
 
 
 def test_default_polarization_signs(oriented7):
@@ -70,17 +76,17 @@ def test_all_root_indices_count():
 
 def test_root_vector_entries(oriented7):
     x12 = root_vector(oriented7, 1, 2)
-    assert x12.entries() == {
+    assert entries(x12) == {
         (1, 2): CyclotomicNumber.one(28),
         (-2, -1): CyclotomicNumber.one(28) * _ratio(oriented7, 1, 2),
     }
     x11 = root_vector(oriented7, 1, 1)
-    assert x11.entries() == {
+    assert entries(x11) == {
         (1, 1): CyclotomicNumber.one(28),
         (-1, -1): -CyclotomicNumber.one(28),
     }
     x1m1 = root_vector(oriented7, 1, -1)
-    assert x1m1.entries() == {(1, -1): CyclotomicNumber.from_rational(28, 2)}
+    assert entries(x1m1) == {(1, -1): CyclotomicNumber.from_rational(28, 2)}
 
 
 def test_element_from_coeffs_folds_mirror_indices(oriented7):
@@ -106,18 +112,18 @@ def test_entries_round_trip(oriented7):
         + root_vector(oriented7, 2, -2)
         + root_vector(oriented7, 3, 3) * 5
     )
-    assert reference_from_entries(oriented7, v.entries()) == v
+    assert reference_from_entries(oriented7, entries(v)) == v
 
 
 def test_tampered_entries_rejected(oriented7):
-    good = root_vector(oriented7, 2, 3).entries()
+    good = entries(root_vector(oriented7, 2, 3))
     bad = dict(good)
     bad[(-3, -2)] = -bad[(-3, -2)]
     with pytest.raises(DomainError) as err:
         reference_from_entries(oriented7, bad)
     assert err.value.reason == "not-in-algebra"
 
-    diag = root_vector(oriented7, 1, 1).entries()
+    diag = entries(root_vector(oriented7, 1, 1))
     diag_bad = dict(diag)
     diag_bad[(-1, -1)] = diag_bad[(1, 1)]
     with pytest.raises(DomainError):
@@ -174,46 +180,6 @@ def test_chain_brackets_compose_exactly(oriented7):
     assert checked == 48
 
 
-def test_nilpotency_degrees(oriented7):
-    x12 = root_vector(oriented7, 1, 2)
-    x23 = root_vector(oriented7, 2, 3)
-    tail = root_vector(oriented7, 3, -1)
-    assert nilpotency_degree(x12) == 2
-    assert nilpotency_degree(x12 + x23) == 3
-    assert nilpotency_degree(x12 + x23 + tail) == 4
-    assert nilpotency_degree(zero_element(oriented7)) == 1
-
-
-def test_cartan_is_not_nilpotent(oriented7):
-    with pytest.raises(NotNilpotentError):
-        nilpotency_degree(cartan_elements(oriented7)[0])
-
-
-def _matrix_power_degree(v):
-    """Reference: multiply out N, N^2, ... until the power vanishes or reaches N^(2n)."""
-    ent = v.entries()
-    rows = {}
-    for (a, b), x in ent.items():
-        rows.setdefault(a, {})[b] = x
-    power = rows
-    degree = 1
-    while power:
-        if degree >= 2 * v.field.n:
-            raise NotNilpotentError("the realization is not nilpotent")
-        nxt = {}
-        for a, row in power.items():
-            out = {}
-            for b, x in row.items():
-                for c, y in rows.get(b, {}).items():
-                    out[c] = out[c] + x * y if c in out else x * y
-            out = {c: z for c, z in out.items() if z}
-            if out:
-                nxt[a] = out
-        power = nxt
-        degree += 1
-    return degree
-
-
 def _degree_or_error(fn, v):
     try:
         return fn(v)
@@ -221,91 +187,7 @@ def _degree_or_error(fn, v):
         return (type(exc), exc.reason, str(exc))
 
 
-def _positive_roots(n):
-    """Root indices whose realization is strictly upper triangular in the order 1..n, -n..-1."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)] + [
-        (i, -j) for i in range(1, n + 1) for j in range(i, n + 1)
-    ]
-
-
 NILPOTENT_LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))]
-
-
-@pytest.mark.parametrize("m,hodge", NILPOTENT_LADDER, ids=[f"m{m}" for m, _ in NILPOTENT_LADDER])
-def test_nilpotency_degree_matches_matrix_powers_on_rational_nilpotents(m, hodge):
-    from cmhodge.acceptance import rational_nilpotent_examples
-
-    field = first_oriented(m, 3, hodge)
-    degrees = {}
-    for name, v in rational_nilpotent_examples(field):
-        degrees[name] = nilpotency_degree(v)
-        assert degrees[name] == _matrix_power_degree(v), name
-    assert degrees["square-zero"] == 2
-    assert degrees["full-chain"] == 2 * field.n
-
-
-@pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (16, (1, 3, 3, 1))], ids=["m7", "m16"])
-def test_nilpotency_degree_matches_matrix_powers_on_upper_triangular_sums(m, hodge):
-    field = first_oriented(m, 3, hodge)
-    M = field.working_conductor
-    n = field.n
-    roots = _positive_roots(n)
-    rng = random.Random(f"upper-triangular-{m}")
-    seen = set()
-    for _ in range(120):
-        v = zero_element(field)
-        for ij in rng.sample(roots, rng.randrange(0, len(roots) + 1)):
-            c = CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, -1, 1, 3))
-            v = v + root_vector(field, *ij) * c
-        degree = nilpotency_degree(v)
-        assert degree == _matrix_power_degree(v)
-        seen.add(degree)
-    # sparse draws rarely reach the middle degrees, so add the chains X_12 + ... + X_{k-1,k}
-    for k in range(2, n + 1):
-        v = zero_element(field)
-        for i in range(1, k):
-            v = v + root_vector(field, i, i + 1)
-        for w in (v, v + root_vector(field, k, -k)):
-            degree = nilpotency_degree(w)
-            assert degree == _matrix_power_degree(w)
-            seen.add(degree)
-    # odd Jordan blocks of a nilpotent in sp(2n) come in pairs, so an odd
-    # degree above n cannot occur; every other degree from 1 to 2n does
-    assert seen == {l for l in range(1, 2 * n + 1) if l % 2 == 0 or l <= n}
-
-
-def test_nilpotency_degree_reads_past_a_short_first_chain(oriented7):
-    # the principal nilpotent X_12 + X_23 + X_{3,-3} kills e_1, so the first
-    # chain in basis order has length one; the full chain starts at e_{-1}
-    v = (
-        root_vector(oriented7, 1, 2)
-        + root_vector(oriented7, 2, 3)
-        + root_vector(oriented7, 3, -3)
-    )
-    assert all(b != 1 for (_, b) in v.entries())
-    assert nilpotency_degree(v) == _matrix_power_degree(v) == 6
-
-
-def test_nilpotency_degree_of_zero_is_one(oriented7):
-    zero = zero_element(oriented7)
-    assert nilpotency_degree(zero) == _matrix_power_degree(zero) == 1
-
-
-def test_nilpotency_degree_raises_like_matrix_powers(oriented7):
-    x12 = root_vector(oriented7, 1, 2)
-    principal = x12 + root_vector(oriented7, 2, 3) + root_vector(oriented7, 3, -3)
-    cases = [
-        cartan_elements(oriented7)[0],
-        principal + root_vector(oriented7, 1, 1),
-        # chains from e_1 and e_2 end before the one from e_3 cycles
-        x12 + root_vector(oriented7, 3, 3),
-        reynolds_average(oriented7, x12),
-    ]
-    for v in cases:
-        got = _degree_or_error(nilpotency_degree, v)
-        assert isinstance(got, tuple)
-        assert got == _degree_or_error(_matrix_power_degree, v)
-        assert got[1] == "not-nilpotent"
 
 
 # odd prime, prime power and composite m (fixed field Q(i)), and 4 | m (fixed field Q)
@@ -317,26 +199,37 @@ RATIONAL_FORM_FIELDS = [
 
 @pytest.mark.parametrize("m,hodge", RATIONAL_FORM_FIELDS, ids=[f"m{m}" for m, _ in RATIONAL_FORM_FIELDS])
 def test_rational_form_degree_equals_the_krylov_oracle_on_the_examples(m, hodge):
+    # the oracle is the conftest matrix-power reference
     from cmhodge.acceptance import rational_nilpotent_examples
 
     field = first_oriented(m, 3, hodge)
-    for name, v in rational_nilpotent_examples(field):
-        assert rational_nilpotency_degree(v) == nilpotency_degree(v), name
+    degrees = {}
+    for name, v in rational_nilpotent_examples(field) + [("zero", zero_element(field))]:
+        degrees[name] = rational_nilpotency_degree(v)
+        assert degrees[name] == _matrix_power_degree(v), name
+    assert degrees["zero"] == 1
+    assert degrees["square-zero"] == 2
+    assert degrees["full-chain"] == 2 * field.n
 
 
 @pytest.mark.parametrize("m,hodge", RATIONAL_FORM_FIELDS, ids=[f"m{m}" for m, _ in RATIONAL_FORM_FIELDS])
 def test_rational_form_degree_equals_the_krylov_oracle_on_reynolds_averages(m, hodge):
+    # the oracle is the conftest matrix-power reference
     field = first_oriented(m, 3, hodge)
     M = field.working_conductor
     roots = all_root_indices(field.n)
     rng = random.Random(f"rational-form-{m}")
-    outcomes = []
+    seeds = [root_vector(field, 1, 2)]
     for _ in range(6):
         support = rng.sample(roots, rng.randrange(1, 4))
-        coeffs = {ij: CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, 1, 3)) for ij in support}
-        v = reynolds_average(field, element_from_coeffs(field, coeffs))
+        seeds.append(element_from_coeffs(
+            field, {ij: CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.choice((-2, 1, 3)) for ij in support}
+        ))
+    outcomes = []
+    for seed in seeds:
+        v = reynolds_average(field, seed)
         got = _degree_or_error(rational_nilpotency_degree, v)
-        assert got == _degree_or_error(nilpotency_degree, v)
+        assert got == _degree_or_error(_matrix_power_degree, v)
         outcomes.append(got)
     # most averages keep a Cartan-like part, so the raising branch is exercised
     assert "not-nilpotent" in {o[1] for o in outcomes if isinstance(o, tuple)}
@@ -360,21 +253,21 @@ def test_verdicts_take_the_rational_form_on_cyclotomic_fields_only(monkeypatch, 
 
     calls = []
 
-    def spy(name, fn):
-        def wrapped(v):
-            calls.append(name)
-            return fn(v)
-        return wrapped
+    def spy(v):
+        calls.append(v)
+        return rational_nilpotency_degree(v)
 
-    monkeypatch.setattr(graphs, "nilpotency_degree", spy("krylov", nilpotency_degree))
-    monkeypatch.setattr(graphs, "rational_nilpotency_degree", spy("form", rational_nilpotency_degree))
-    assert graphs.trivial_partition_check(rational_nilpotent_witness(oriented7))["nilpotency_degree"] == 6
-    assert calls == ["form"]
+    monkeypatch.setattr(graphs, "rational_nilpotency_degree", spy)
+    witness = rational_nilpotent_witness(oriented7)
+    assert graphs.trivial_partition_check(witness)["nilpotency_degree"] == 6
+    assert calls == [witness]
     galois = abstract_z6()
     orientation = enumerate_orientations(galois, 3, (1, 2, 2, 1))[0]
     zero = zero_element(validate_orientation(galois, orientation))
-    assert graphs.trivial_partition_check(zero)["nilpotency_degree"] == 1
-    assert calls == ["form", "krylov"]
+    with pytest.raises(DomainError) as err:
+        graphs.trivial_partition_check(zero)
+    assert err.value.reason == "rationality-needs-cyclotomic"
+    assert calls == [witness]
 
 
 def test_generated_subalgebra_dimensions(oriented7):
@@ -402,7 +295,7 @@ def test_galois_action_moves_support(oriented7):
     moved = galois_act_element(oriented7, oriented7.sigma(3), x12)
     # index pair (1,2) lands on (3,-1), canonically stored at (1,-3)
     assert moved.support() == ((1, -3),)
-    unit = moved.coefficient(1, -3)
+    unit = moved.coeffs[(1, -3)]
     assert not unit.is_rational_value()
     assert moved == root_vector(oriented7, 1, -3) * unit
 
@@ -558,7 +451,10 @@ def test_is_rational_on_an_abstract_field_still_checks_conjugation():
     h = sum(cartan_elements(field)[1:], cartan_elements(field)[0])
     assert all(galois_act_element(field, g, h) == h for g in galois.generators)
     assert galois_act_element(field, galois.conjugation, h) == -h
-    assert not is_rational(field, h)
+    # the bare substitution is not a group action, so rationality is refused
+    with pytest.raises(DomainError) as err:
+        is_rational(field, h)
+    assert err.value.reason == "rationality-needs-cyclotomic"
 
 
 def test_abstract_action_is_bare_substitution():
@@ -580,7 +476,8 @@ def test_abstract_action_is_bare_substitution():
 def test_abstract_extreme_orientation_average_is_fixed():
     # with every sign on one side the ratios are orbit-constant, so even the
     # bare substitution is a genuine action and averaging lands in the fixed
-    # space; the balanced orientation has no such luck
+    # space; the balanced orientation has no such luck, and is_rational
+    # refuses every abstract field alike
     galois = abstract_z6()
     extreme = validate_orientation(
         galois,
@@ -593,7 +490,10 @@ def test_abstract_extreme_orientation_average_is_fixed():
     assert {k: extreme.epsilons[k] for k in (1, 2, 3)} == {1: 1, 2: 1, 3: 1}
     avg = reynolds_average(extreme, root_vector(extreme, 1, 2))
     assert not avg.is_zero()
-    assert is_rational(extreme, avg)
+    assert all(galois_act_element(extreme, g, avg) == avg for g in galois.group_generators)
+    with pytest.raises(DomainError) as err:
+        is_rational(extreme, avg)
+    assert err.value.reason == "rationality-needs-cyclotomic"
 
 
 def test_action_rejects_foreign_elements(oriented7):

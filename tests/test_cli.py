@@ -559,7 +559,7 @@ BALANCED_Z6 = {
 
 @pytest.fixture(scope="module")
 def abstract_files(tmp_path_factory):
-    """The abstract Z/6 field, and two rational elements over its balanced orientation."""
+    """The abstract Z/6 field, and two elements over its balanced orientation that its bare substitution fixes."""
     galois = abstract_z6()
     field = validate_orientation(
         galois, Orientation(3, {lab: tuple(pq) for lab, pq in BALANCED_Z6.items()})
@@ -591,14 +591,13 @@ def test_escape_witness_needs_a_cyclotomic_field(capsys, abstract_files):
 
 
 def test_escape_element_on_an_abstract_field(capsys, abstract_files):
-    code, doc = run_cli(capsys, "escape", "--element", abstract_files["zero"])
-    assert code == 0
-    assert doc["result"]["nilpotency_degree"] == 1
-    assert doc["result"]["applicable"] is False
-    assert doc["result"]["nondegeneracy"]["verdict"] == "nondegenerate"
-    code, doc = run_cli(capsys, "escape", "--element", abstract_files["swap"])
-    assert code == 3
-    assert doc["error"]["reason"] == "not-nilpotent"
+    # the balanced Z/6 orientation is nondegenerate, so escape passes its
+    # precondition and then meets the refusal, like partition
+    for command in ("escape", "partition"):
+        for name in ("zero", "swap"):
+            code, doc = run_cli(capsys, command, "--element", abstract_files[name])
+            assert code == 3
+            assert doc["error"]["reason"] == "rationality-needs-cyclotomic"
 
 
 def test_rigidity_command(capsys):

@@ -1,10 +1,11 @@
-"""Random orientation and element documents against the CLI exit-code contract.
+"""Random orientation, element and abstract field documents against the CLI exit-code contract.
 
 Every run of ``grading``, ``nondeg`` and ``rigidity`` on an orientation,
-and of ``escape --element`` and ``partition`` on an element file, ends with
-one JSON document and exit code 0 (ok), 2 (usage), 3 (domain) or 4
-(theorem violation); an error document names its ``reason`` as a lowercase
-slug.  A traceback would surface here as an exception out of ``main``.
+of ``escape --element`` and ``partition`` on an element file, and of
+``field`` and ``orient enumerate`` on an abstract field file, ends with one
+JSON document and exit code 0 (ok), 2 (usage), 3 (domain) or 4 (theorem
+violation); an error document names its ``reason`` as a lowercase slug.  A
+traceback would surface here as an exception out of ``main``.
 """
 
 import contextlib
@@ -21,11 +22,12 @@ from hypothesis import strategies as st
 
 from cmhodge import (
     CyclotomicNumber,
+    Orientation,
     all_root_indices,
     build_cyclotomic_cm,
     element_from_coeffs,
     element_from_json,
-    nilpotency_degree,
+    field_from_json,
     reynolds_average,
     validate_orientation,
     zero_element,
@@ -33,6 +35,7 @@ from cmhodge import (
 from cmhodge.acceptance import rational_nilpotent_examples
 from cmhodge.cli import main
 from cmhodge.cmfield import orientation_from_pick, orientation_picks
+from conftest import _matrix_power_degree
 
 CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 13)
 REASON = re.compile(r"^[a-z-]+$")
@@ -197,5 +200,113 @@ def test_element_commands_keep_the_exit_code_contract(run):
         return
     assert doc["command"] == command
     if command == "escape":
-        # the verdict reads the degree off the rational form; the chains over Q(zeta_M) are the oracle
-        assert doc["result"]["nilpotency_degree"] == nilpotency_degree(element_from_json(json.loads(text)))
+        # the verdict reads the degree off the rational form; matrix powers are the oracle
+        assert doc["result"]["nilpotency_degree"] == _matrix_power_degree(element_from_json(json.loads(text)))
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@st.composite
+def abstract_runs(draw):
+    """An abstract field document, an orientation of it and the text of an element over it.
+
+    The group is generated by signed permutations of n <= 4 conjugate pairs,
+    the first an n-cycle on the pairs, so it is transitive on the 2n labels
+    and commutes with conjugation.  Labels are strings or integers, listed in
+    random order.
+    """
+    n = draw(st.integers(1, 4))
+    label = st.text("abcAB", min_size=1, max_size=2) | st.integers(-3, 20)
+    labels = draw(st.lists(label, min_size=2 * n, max_size=2 * n, unique_by=str))
+    # labels[k] and labels[n + k] are the k-th conjugate pair
+
+    def signed(perm):
+        flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        image = {}
+        for k in range(n):
+            a, b = labels[perm[k]], labels[n + perm[k]]
+            if flips[k]:
+                a, b = b, a
+            image[labels[k]], image[labels[n + k]] = a, b
+        return image
+
+    order = draw(st.permutations(range(n)))
+    cycle = [0] * n
+    for i in range(n):
+        cycle[order[i]] = order[(i + 1) % n]
+    images = [signed(cycle)] + [signed(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(0, 2)))]
+    listed = draw(st.permutations(labels))
+    conjugation = {**dict(zip(labels[:n], labels[n:])), **dict(zip(labels[n:], labels[:n]))}
+    field_doc = {
+        "flavor": "abstract",
+        "labels": listed,
+        "generators": [[image[lab] for lab in listed] for image in images],
+        "conjugation": [conjugation[lab] for lab in listed],
+    }
+    weight = draw(st.sampled_from((1, 3, 5)))
+    assignment = {}
+    for k in range(n):
+        t = draw(st.integers(0, weight))
+        assignment[labels[k]] = (weight - t, t)
+        assignment[labels[n + k]] = (t, weight - t)
+    field = validate_orientation(field_from_json(field_doc), Orientation(weight, assignment))
+    kind = draw(st.sampled_from(("raw", "average", "zero")))
+    v = zero_element(field)
+    if kind != "zero":
+        support = draw(st.lists(st.sampled_from(all_root_indices(n)), min_size=1, max_size=3, unique=True))
+        v = element_from_coeffs(field, {ij: draw(st.sampled_from((-2, -1, 1, 3))) for ij in support})
+        if kind == "average":
+            v = reynolds_average(field, v)
+    hodge = [0] * (weight + 1)
+    for p, _ in assignment.values():
+        hodge[weight - p] += 1
+    return field_doc, field.orientation.to_json(), hodge, json.dumps(v.to_json())
+
+
+@settings(max_examples=60, deadline=None)
+@given(abstract_runs())
+def test_abstract_field_commands_keep_the_exit_code_contract(run):
+    field_doc, orientation, hodge, element_text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        field_path = Path(tmp) / "field.json"
+        field_path.write_text(json.dumps(field_doc), encoding="utf-8")
+        element_path = Path(tmp) / "element.json"
+        element_path.write_text(element_text, encoding="utf-8")
+        field_args = ["--abstract-file", str(field_path)]
+        oriented_args = field_args + ["--orientation", json.dumps(orientation)]
+        runs = {
+            "field": _run(["field", *field_args]),
+            "orient-enumerate": _run(
+                ["orient", "enumerate", *field_args, "--weight", str(orientation["weight"]),
+                 "--hodge", ",".join(map(str, hodge))]
+            ),
+            "grading": _run(["grading", *oriented_args]),
+            "nondeg": _run(["nondeg", *oriented_args]),
+            "rigidity": _run(["rigidity", *oriented_args]),
+            "partition": _run(["partition", "--element", str(element_path)]),
+            "escape": _run(["escape", "--element", str(element_path)]),
+        }
+    for command, (code, doc) in runs.items():
+        assert code in (0, 2, 3, 4), command
+        if code == 0:
+            assert doc["command"] == command
+        else:
+            assert REASON.match(doc["error"]["reason"]), doc
+    assert runs["partition"][0] == 3
+    assert runs["partition"][1]["error"]["reason"] == "rationality-needs-cyclotomic"
+    # escape checks nondegeneracy first, so it fails as nondeg does, or is
+    # refused as a degenerate field, before rationality is asked
+    code, doc = runs["nondeg"]
+    if code != 0:
+        expected = (code, doc["error"]["reason"])
+    elif doc["result"]["verdict"] != "nondegenerate":
+        expected = (3, "field-not-nondegenerate")
+    else:
+        expected = (3, "rationality-needs-cyclotomic")
+    code, doc = runs["escape"]
+    assert (code, doc["error"]["reason"]) == expected
