@@ -190,6 +190,38 @@ def _degree_or_error(fn, v):
 NILPOTENT_LADDER = [(7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))]
 
 
+@pytest.mark.parametrize("m,hodge", NILPOTENT_LADDER, ids=[f"m{m}" for m, _ in NILPOTENT_LADDER])
+def test_nilpotency_degree_matches_matrix_powers_on_rational_nilpotents(m, hodge):
+    from cmhodge.acceptance import rational_nilpotent_examples
+
+    field = first_oriented(m, 3, hodge)
+    degrees = {}
+    for name, v in rational_nilpotent_examples(field):
+        degrees[name] = rational_nilpotency_degree(v)
+        assert degrees[name] == _matrix_power_degree(v), name
+    assert degrees["square-zero"] == 2
+    assert degrees["full-chain"] == 2 * field.n
+
+
+def test_nilpotency_degree_of_zero_is_one(oriented7):
+    zero = zero_element(oriented7)
+    assert rational_nilpotency_degree(zero) == _matrix_power_degree(zero) == 1
+
+
+def test_nilpotency_degree_raises_like_matrix_powers(oriented7):
+    x12 = root_vector(oriented7, 1, 2)
+    principal = x12 + root_vector(oriented7, 2, 3) + root_vector(oriented7, 3, -3)
+    # the rational route takes rational elements only, so each case is averaged
+    seeds = [principal + root_vector(oriented7, 1, 1), x12 + root_vector(oriented7, 3, 3), x12]
+    for seed in seeds:
+        v = reynolds_average(oriented7, seed)
+        assert is_rational(oriented7, v)
+        got = _degree_or_error(rational_nilpotency_degree, v)
+        assert isinstance(got, tuple)
+        assert got == _degree_or_error(_matrix_power_degree, v)
+        assert got[1] == "not-nilpotent"
+
+
 # odd prime, prime power and composite m (fixed field Q(i)), and 4 | m (fixed field Q)
 RATIONAL_FORM_FIELDS = [
     (7, (1, 2, 2, 1)), (9, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (12, (1, 1, 1, 1)),

@@ -79,6 +79,61 @@ def test_span_basis_counts_independents():
     assert span.dimension == 2
 
 
+def _contains(span, vec):
+    """Membership without touching span: insert vec into a copy of its rows."""
+    probe = SpanBasis()
+    probe.rows = {p: dict(row) for p, row in span.rows.items()}
+    return not probe.insert(vec)
+
+
+def test_span_basis_contains_leaves_span_unchanged():
+    span = SpanBasis()
+    span.insert(_vec(4, {0: 1}))
+    assert _contains(span, _vec(4, {0: 7}))
+    assert not _contains(span, _vec(4, {1: 1}))
+    assert not span.insert(_vec(4, {0: 7}))
+    assert span.dimension == 1
+
+
+def test_span_basis_contains_changes_neither_argument_nor_span():
+    M = 7
+    z = CyclotomicNumber.root_of_unity(M, 1)
+    one = CyclotomicNumber.one(M)
+    zero = CyclotomicNumber.zero(M)
+    span = SpanBasis()
+    span.insert({0: one, 2: z})
+    span.insert({1: z, 2: one})
+    rows = {p: dict(row) for p, row in span.rows.items()}
+    inside = {0: z, 1: z * z, 2: z * z + z, 3: zero}
+    outside = {0: one, 3: z}
+    for vec in (inside, outside):
+        before = dict(vec)
+        _contains(span, vec)
+        assert vec == before
+    assert _contains(span, inside)
+    assert not _contains(span, outside)
+    # a rejected insert is the in-place membership test
+    before = dict(inside)
+    assert not span.insert(inside)
+    assert inside == before
+    assert span.rows == rows
+
+
+def test_span_basis_insert_and_contains_agree():
+    rng = random.Random("span-contains")
+    M = 9
+    span = SpanBasis()
+    for _ in range(60):
+        vec = {
+            c: CyclotomicNumber.root_of_unity(M, rng.randrange(M)) * rng.randrange(-2, 3)
+            for c in rng.sample(range(6), rng.randrange(1, 4))
+        }
+        held = _contains(span, vec)
+        assert span.insert(vec) is not held
+        assert _contains(span, vec)
+    assert span.dimension == 6
+
+
 def test_span_basis_insert_keeps_its_argument_and_rejects_a_repeat():
     rng = random.Random("span-contains")
     M = 9
