@@ -295,7 +295,12 @@ def _record(number, label, passed, details):
 
 
 def criterion_circulant_equivalence(rng):
-    """1: gcd-based circulant rank equals explicit elimination rank."""
+    """1: circulant_rank equals the rank by explicit (Bareiss) elimination.
+
+    Most specs here get rank p from the eigenvalue certificate mod a split
+    prime; the rest take the gcd route.  A mismatch record gives
+    circulant_rank's answer under the key "gcd".
+    """
     mismatches = []
     checked = 0
     for p in (3, 5, 7, 11, 13):
@@ -358,7 +363,13 @@ def criterion_desk_scale_ranks():
 
 
 def criterion_dichotomy(rng):
-    """3: the odd-entry rank dichotomy never trips a theorem violation."""
+    """3: the odd-entry rank dichotomy never trips a theorem violation.
+
+    Every 50th trial draws a constant spec, whose eigenvalues vanish away
+    from 1, so it takes circulant_rank's exact gcd route and lands on the
+    all-equal branch.  A non-constant spec of rank below p would also reach
+    that route and raise, so the check can still fail.
+    """
     branches = {"rank_p": 0, "all_equal": 0}
     violations = []
     for p in (3, 5, 7, 11):

@@ -625,21 +625,34 @@ def enumerate_orientations(galois, weight, hodge_numbers):
     return [orientation_from_pick(weight, pairs, pick) for pick in picks]
 
 
-def _budgeted_picks(n, weight, budget, picks=()):
+def _budgeted_picks(n, weight, budget):
     """Each way for n pairs to pick t = 0..weight, at most budget[c] picks of class c = min(t, weight - t).
 
     Yields tuples in lexicographic order, the order of itertools.product.
-    ``budget`` is used up while a pick is extended and restored after.
+    An odometer: ``pick`` holds the current prefix and ``t`` the next value
+    to try at its end; a value is taken only while its class has budget
+    left, and the budget is handed back when the value is dropped.
     """
-    if len(picks) == n:
-        yield picks
-        return
-    for t in range(weight + 1):
-        c = min(t, weight - t)
-        if budget[c]:
-            budget[c] -= 1
-            yield from _budgeted_picks(n, weight, budget, picks + (t,))
-            budget[c] += 1
+    budget = list(budget)
+    classes = [min(t, weight - t) for t in range(weight + 1)]
+    pick = []
+    t = 0
+    while True:
+        if len(pick) == n:
+            yield tuple(pick)
+        else:
+            while t <= weight and not budget[classes[t]]:
+                t += 1
+            if t <= weight:
+                budget[classes[t]] -= 1
+                pick.append(t)
+                t = 0
+                continue
+        if not pick:
+            return
+        t = pick.pop()
+        budget[classes[t]] += 1
+        t += 1
 
 
 # -- serialization ------------------------------------------------------

@@ -10,6 +10,7 @@ span a lower bound for them (see ``ModularSpan``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 
@@ -21,7 +22,7 @@ def rank_rational(rows):
     """
     cleared = []
     for row in rows:
-        if all(isinstance(x, int) for x in row):
+        if all(map(isinstance, row, repeat(int))):
             cleared.append(row)
             continue
         row = [Fraction(x) for x in row]
@@ -34,27 +35,32 @@ def _rank_integer(rows):
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return 0
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     rank = 0
     prev = 1
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
+        for r in range(rank, nrows):
+            if rows[r][col]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            q = rows[r][col]
-            for c in range(col, ncols):
-                # Bareiss update: stays integral, divisions are exact
-                rows[r][c] = (p * rows[r][c] - q * rows[rank][c]) // prev
+        rows[rank], rows[r] = rows[r], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        # Bareiss update: stays integral, divisions are exact.  Columns up
+        # to col are never read again, so the update starts at col + 1.
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            x = row[col]
+            if x:
+                for c in range(col + 1, ncols):
+                    row[c] = (p * row[c] - x * pivot_row[c]) // prev
+            else:
+                for c in range(col + 1, ncols):
+                    row[c] = p * row[c] // prev
         prev = p
         rank += 1
-        if rank == len(rows):
+        if rank == nrows:
             break
     return rank
 

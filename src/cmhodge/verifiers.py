@@ -1,9 +1,12 @@
 """Rank computations and theorem-level verdicts.
 
-Two independent routes to circulant ranks (polynomial gcd and explicit
-elimination) back the nondegeneracy dichotomy; orbit ranks over the full
-Galois group decide nondegeneracy of an oriented field; and the escape
-and rigidity verdicts wire the algebraic layer to the combinatorial one.
+Circulant ranks behind the nondegeneracy dichotomy are certified from
+their eigenvalues modulo a split prime when those show rank p, and
+computed by a polynomial gcd otherwise; explicit elimination is the
+independent route the battery checks them against.  Orbit ranks over the
+full Galois group decide nondegeneracy of an oriented field, and the
+escape and rigidity verdicts wire the algebraic layer to the
+combinatorial one.
 A TheoremViolationError from any function here means a proved statement
 failed on concrete data, which is release blocking by design.
 """
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from .algebra import (
     bidegree,
@@ -27,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .graphs import _degree_and_partition, _edge, _sorted_edges, support_graph
-from .linalg import _is_prime, rank_rational
+from .linalg import _is_prime, rank_rational, split_prime
 from .polynomials import Poly, poly_gcd
 
 
@@ -58,12 +63,61 @@ def circulant_matrix(spec):
     return [[spec.entries[(s + t) % p] for s in range(p)] for t in range(p)]
 
 
-def circulant_rank(spec):
-    """Rank via the gcd of the symbol polynomial with x^p - 1."""
+@lru_cache(maxsize=None)
+def _eigenvalue_rows(p):
+    """(q, rows) for q, omega = split_prime(p): rows[k][j] = omega^(jk) mod q, j, k = 0..p-1.
+
+    The rows hold p^2 references to the p residues omega^i, so row k dotted
+    with the entries is the eigenvalue f(omega^k) up to one reduction mod q.
+    """
+    q, omega = split_prime(p)
+    powers = [pow(omega, i, q) for i in range(p)]
+    return q, tuple(tuple(powers[j * k % p] for j in range(p)) for k in range(p))
+
+
+def _full_rank_mod_split_prime(spec):
+    """True when the symbol f(x) = sum A_j x^j has no root mod q among the p-th roots of unity.
+
+    q, omega = split_prime(p): q is a prime with q = 1 (mod p) and omega a
+    primitive p-th root of unity mod q, so over F_q the polynomial x^p - 1
+    is prod_k (x - omega^k), with distinct linear factors.  The rank of the
+    circulant over Q is p - deg d, for d the monic gcd of f and x^p - 1.
+    d divides x^p - 1, so it lies in Z[x] by Gauss's lemma, and d divides f
+    with an integral quotient, since d is monic.  So d mod q, still monic
+    of the same degree, divides f mod q and x^p - 1 over F_q.  When no
+    f(omega^k) is 0 mod q, those two are coprime, so d = 1 and the rank is
+    p.  Equivalently: mod q the circulant is diagonal in the basis of the
+    characters, with eigenvalues f(omega^k), and a rank can only fall under
+    reduction.  False proves nothing: f can vanish mod q at a root of unity
+    where it does not vanish over Q.
+    """
+    q, rows = _eigenvalue_rows(spec.size)
+    entries = spec.entries
+    return all(sum(map(mul, entries, row)) % q for row in rows)
+
+
+def _circulant_rank_by_gcd(spec):
+    """Rank over Q as p minus the degree of gcd(f, x^p - 1): the exact route."""
     p = spec.size
     f = Poly._make(spec.entries)
     g = poly_gcd(f, Poly._make((-1,) + (0,) * (p - 1) + (1,)))  # x^p - 1
     return p - g.degree if not f.is_zero() else 0
+
+
+def circulant_rank(spec):
+    """Rank over Q of the circulant: certified rank p mod a split prime, else exact.
+
+    When none of the eigenvalues f(omega^k) vanishes modulo the split prime
+    q, the rank is p (``_full_rank_mod_split_prime`` holds the argument).
+    Every other spec takes the primitive remainder sequence of the symbol
+    against x^p - 1 (``_circulant_rank_by_gcd``).  So every rank below p
+    comes from the exact route, and neither route assumes anything about
+    the factors of x^p - 1 over Q: a non-constant odd circulant of rank
+    below p would still reach ``ribet_dichotomy``'s violation.
+    """
+    if _full_rank_mod_split_prime(spec):
+        return spec.size
+    return _circulant_rank_by_gcd(spec)
 
 
 DICHOTOMY_RANK_P = "rank_p"

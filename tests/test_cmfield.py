@@ -311,6 +311,36 @@ def test_construction_matches_the_filter_route(m, weight):
         assert len(built) == cmfield.orientation_count(hodge)
 
 
+@pytest.mark.parametrize(
+    "n,weight,budget",
+    [
+        (0, 3, (0, 0)),
+        (1, 1, (1,)),
+        (3, 1, (3,)),
+        (3, 3, (1, 2)),
+        (3, 3, (0, 3)),
+        (4, 3, (2, 2)),
+        (4, 3, (1, 1)),  # short of n: nothing to list
+        (6, 3, (4, 4)),  # slack: more budget than pairs
+        (4, 5, (1, 1, 2)),
+        (5, 5, (0, 5, 1)),
+    ],
+)
+def test_budgeted_picks_match_the_filtered_product(n, weight, budget):
+    expected = []
+    for combo in itertools.product(range(weight + 1), repeat=n):
+        used = [0] * len(budget)
+        for t in combo:
+            used[min(t, weight - t)] += 1
+        if all(u <= b for u, b in zip(used, budget)):
+            expected.append(combo)
+    given = list(budget)
+    assert list(cmfield._budgeted_picks(n, weight, given)) == expected
+    # the budget handed in is read, never spent, even by a listing cut short
+    next(cmfield._budgeted_picks(n, weight, given), None)
+    assert given == list(budget)
+
+
 def test_orientation_cap_applies_to_the_closed_form_count(monkeypatch):
     galois = build_cyclotomic_cm(7)  # 24 orientations with Hodge numbers 1,2,2,1
     monkeypatch.setattr(cmfield, "ORIENTATION_ENUMERATION_CAP", 24)

@@ -11,6 +11,7 @@ from cmhodge.linalg import (
     SpanBasis,
     UnluckyPrimeError,
     _is_prime,
+    _rank_integer,
     rank_rational,
     split_prime,
 )
@@ -192,6 +193,48 @@ def test_rank_leaves_int_rows_untouched():
     copy = [list(r) for r in rows]
     assert rank_rational(rows) == 2
     assert rows == copy
+
+
+def _fraction_rank(rows):
+    """Rank by Gauss elimination over Fraction: the reference for the Bareiss kernel."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_bareiss_rank_matches_fraction_elimination():
+    rng = random.Random("bareiss-rank")
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        r = rng.randrange(0, min(nrows, ncols) + 1)
+        # a product of factors, so ranks below the shape occur; sparse
+        # factors give rows whose entry in the pivot column is 0
+        left = [[rng.choice((0, 0, rng.randrange(-4, 5))) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.choice((0, 0, rng.randrange(-4, 5))) for _ in range(ncols)] for _ in range(r)]
+        rows = [
+            [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(nrows + 1), [0] * ncols)
+        if rng.random() < 0.3:
+            at = rng.randrange(ncols + 1)
+            rows = [row[:at] + [0] + row[at:] for row in rows]
+        expected = _fraction_rank(rows)
+        assert expected <= r
+        assert _rank_integer(rows) == expected
+    # a zero pivot-column entry below the pivot, with later columns to scale
+    rows = [[2, 1, 3], [0, 4, 5], [0, 2, 7], [6, 3, 9]]
+    assert _rank_integer(rows) == _fraction_rank(rows) == 3
 
 
 def _sieve(limit):

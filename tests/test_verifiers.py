@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,10 +23,22 @@ from cmhodge import (
     root_vector,
     validate_orientation,
 )
-from cmhodge.acceptance import rational_nilpotent_examples, rational_nilpotent_witness
+from cmhodge import acceptance, verifiers
+from cmhodge.acceptance import (
+    DEFAULT_SEED,
+    criterion_circulant_equivalence,
+    criterion_dichotomy,
+    rational_nilpotent_examples,
+    rational_nilpotent_witness,
+    run_core,
+)
 from cmhodge.graphs import _edge
-from cmhodge.linalg import rank_rational
-from cmhodge.verifiers import _edge_orbits
+from cmhodge.linalg import rank_rational, split_prime
+from cmhodge.verifiers import (
+    _circulant_rank_by_gcd,
+    _edge_orbits,
+    _full_rank_mod_split_prime,
+)
 from conftest import abstract_z6, first_oriented
 
 BALANCED_ABSTRACT = {
@@ -75,6 +88,69 @@ def test_circulant_rank_matches_elimination(p):
         entries = tuple(rng.randrange(-6, 7) for _ in range(p))
         spec = CirculantSpec(entries)
         assert circulant_rank(spec) == rank_rational(circulant_matrix(spec))
+
+
+def _battery_specs(monkeypatch, seed):
+    """Every spec criteria 1 and 3 hand to circulant_rank, in the random streams run_core gives them."""
+    seen = []
+
+    def spy(spec):
+        seen.append(spec)
+        return circulant_rank(spec)
+
+    monkeypatch.setattr(acceptance, "circulant_rank", spy)
+    monkeypatch.setattr(verifiers, "circulant_rank", spy)
+    criterion_circulant_equivalence(random.Random(f"{seed}:circulant"))
+    criterion_dichotomy(random.Random(f"{seed}:dichotomy"))
+    return seen
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_certificate_gcd_and_elimination_agree_on_the_battery_specs(monkeypatch, seed):
+    specs = _battery_specs(monkeypatch, seed)
+    assert len(specs) == 5000
+    for spec in specs:
+        exact = _circulant_rank_by_gcd(spec)
+        assert exact == rank_rational(circulant_matrix(spec))
+        if _full_rank_mod_split_prime(spec):
+            assert exact == spec.size
+        assert circulant_rank(spec) == exact
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_circulant_rank_falls_back_to_the_gcd_route(p):
+    rng = random.Random(f"fallback-{p}")
+    q, _ = split_prime(p)
+    entries = [rng.randrange(-6, 7) for _ in range(p - 1)]
+    entries.append(-sum(entries))
+    if not any(entries):
+        entries[0], entries[1] = 1, -1
+    cases = [
+        (tuple(entries), p - 1),  # f(1) = 0, and no other root of x^p - 1
+        ((5,) * p, 1),
+        ((0,) * p, 0),
+        # every value is q = 0 mod q, yet the symbol is a nonzero constant
+        ((q,) + (0,) * (p - 1), p),
+    ]
+    for entries, rank in cases:
+        spec = CirculantSpec(entries)
+        assert not _full_rank_mod_split_prime(spec)
+        assert circulant_rank(spec) == _circulant_rank_by_gcd(spec) == rank
+        assert rank_rational(circulant_matrix(spec)) == rank
+
+
+def test_only_constant_specs_reach_the_gcd_route_in_the_battery(monkeypatch):
+    reached = []
+
+    def spy(spec):
+        reached.append(spec.entries)
+        return _circulant_rank_by_gcd(spec)
+
+    monkeypatch.setattr(verifiers, "_circulant_rank_by_gcd", spy)
+    run_core(DEFAULT_SEED)
+    # criterion 3 draws a constant spec every 50th trial, 20 per length
+    assert all(len(set(entries)) == 1 for entries in reached)
+    assert Counter(map(len, reached)) == {3: 20, 5: 20, 7: 20, 11: 20}
 
 
 def test_dichotomy_branches():
