@@ -550,7 +550,7 @@ def criterion_rigidity_sweep():
 
 
 # stated wall-clock budgets, in seconds; enforced by the test suite
-RUNTIME_BUDGETS = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
+RUNTIME_BUDGETS = {1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5, 5: 0.5, 6: 0.5, 7: 0.5, 8: 0.5}
 
 
 def run_core(seed=DEFAULT_SEED, timings_out=None):

@@ -249,20 +249,49 @@ def _gauge_units(field):
     return d, dinv
 
 
-def _gauge_factors(field, perm, exp):
-    """Per-index unit factors of the action for one group element, kept in ``field.gauge_factors``."""
-    hit = field.gauge_factors.get(perm)
-    if hit is not None:
-        return hit
+def _root_image(field, perm, exp, table, ij):
+    """Fill the entry (image root, unit) of the canonical root ij in ``table``, perm's monomial table.
+
+    The action is monomial on the root basis: g (c X_{i,j}) =
+    sigma(c) u X_{g i, g j}, sigma the coefficient automorphism of g
+    (z -> z^exp), with the unit u = factor(i) * cofactor(j),
+    factor(k) = sigma(d_k) / d_{g k} and cofactor(k) = d_{g k} / sigma(d_k)
+    in the gauge d of ``_gauge_units``.  The table, kept in
+    ``field.gauge_factors[perm]``, is three dicts, each filled on first use:
+    canonical root -> (image root, unit), already folded by ``_fold``;
+    index -> factor; index -> cofactor.  A root's unit costs one product,
+    once, and an average of a single root builds one root entry and two
+    index factors per group element, not the factors of all 2n indices.
+    """
+    roots, factor, cofactor = table
     d, dinv = _gauge_units(field)
-    factor = {}
-    cofactor = {}
-    for k in field.signed_indices():
-        kk = field.act_index(perm, k)
-        factor[k] = d[k].galois(exp) * dinv[kk]
-        cofactor[k] = dinv[k].galois(exp) * d[kk]
-    field.gauge_factors[perm] = (factor, cofactor)
-    return factor, cofactor
+    i, j = ij
+    ii = field.act_index(perm, i)
+    jj = field.act_index(perm, j)
+    if i not in factor:
+        factor[i] = d[i].galois(exp) * dinv[ii]
+    if j not in cofactor:
+        cofactor[j] = dinv[j].galois(exp) * d[jj]
+    hit = roots[ij] = _fold(field, ii, jj, factor[i] * cofactor[j])
+    return hit
+
+
+def _act_into(out, field, perm, v):
+    """Accumulate the image of v under perm into the sparse dict out (``galois_act_element``)."""
+    if v.field is not field and v.field != field:
+        raise UsageError("element does not belong to the given field")
+    exp = field.coeff_exponent(perm)
+    if exp is None:
+        for (i, j), c in v.coeffs.items():
+            _accumulate(out, *_fold(field, field.act_index(perm, i), field.act_index(perm, j), c))
+        return
+    table = field.gauge_factors.get(perm)
+    if table is None:
+        table = field.gauge_factors[perm] = ({}, {}, {})
+    roots = table[0]
+    for ij, c in v.coeffs.items():
+        image, unit = roots.get(ij) or _root_image(field, perm, exp, table, ij)
+        _accumulate(out, image, c.galois(exp) * unit)
 
 
 def galois_act_element(field, perm, v):
@@ -274,35 +303,27 @@ def galois_act_element(field, perm, v):
     index substitution is corrected through the diagonal gauge of
     ``_gauge_units``.  With that correction the map is a genuine group
     action that commutes with the bracket, and group averaging therefore
-    lands in the fixed subspace.  For the abstract flavor no such gauge is
-    available (coefficients are plain scalars) and the bare substitution
-    is used; its support bookkeeping is still exact, which is all the
-    abstract flavor is used for.
+    lands in the fixed subspace.  Each group element keeps the units and
+    folded images of the roots met so far (``_root_image``), so a
+    coefficient costs one automorphism and one product.
+
+    For the abstract flavor no such gauge is available (coefficients are
+    plain scalars) and the bare substitution is used.  It is not a group
+    action: on the abstract Z/6 datum, averages over it are not fixed by a
+    generator (10 of the 22 that rigidity takes at Hodge 0,3,3,0, 6 of 6 at
+    Hodge 1,2,0,0,2,1), so neither their coefficients nor their supports
+    are group averages.
     """
-    if v.field is not field and v.field != field:
-        raise UsageError("element does not belong to the given field")
-    exp = field.coeff_exponent(perm)
-    if exp is not None:
-        factor, cofactor = _gauge_factors(field, perm, exp)
-    else:
-        factor = cofactor = None
     out = {}
-    for (i, j), c in v.coeffs.items():
-        ii = field.act_index(perm, i)
-        jj = field.act_index(perm, j)
-        cc = c if exp is None else c.galois(exp)
-        if factor is not None:
-            cc = cc * factor[i] * cofactor[j]
-        _accumulate(out, *_fold(field, ii, jj, cc))
+    _act_into(out, field, perm, v)
     return AlgebraElement(field, out, _raw=True)
 
 
 def is_rational(field, v):
     """Fixed by every element of ``field.galois.group_generators``, hence by the whole group.
 
-    On a cyclotomic field those are the generators alone.  Conjugation is a
-    word in them there, and the dearest action to apply: it flips the sign
-    of every index, so every coefficient meets a dense gauge factor.  An
+    On a cyclotomic field those are the generators alone: conjugation is a
+    word in them there, so applying it too would only repeat work.  An
     abstract field is refused with ``DomainError``: its bare index
     substitution (``galois_act_element``) is not a group action, so being
     fixed by it says nothing about rationality.
@@ -321,10 +342,10 @@ def is_rational(field, v):
 
 def reynolds_average(field, v):
     """Sum of the full Galois orbit of v; the constructive source of rational elements."""
-    out = zero_element(field)
+    out = {}
     for g in field.galois.enumerate_group():
-        out = out + galois_act_element(field, g, v)
-    return out
+        _act_into(out, field, g, v)
+    return AlgebraElement(field, out, _raw=True)
 
 
 # -- bracket and subalgebras -------------------------------------------

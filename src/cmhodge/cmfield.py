@@ -410,9 +410,9 @@ class OrientedCMField:
     the positivity convention i^(p-q) Q_k > 0, which for bidegree (p, q)
     gives epsilon = (-1)^((p - q + 1) / 2).  The exponent is an integer
     because the weight is odd, and conjugate indices receive opposite signs.
-    ``gauge_units`` and ``gauge_factors`` hold the equivariant gauge of the
-    Galois action (``algebra._gauge_units``, ``algebra._gauge_factors``),
-    filled on first use.
+    ``gauge_units`` holds the equivariant gauge of the Galois action
+    (``algebra._gauge_units``), and ``gauge_factors`` one monomial table per
+    group element (``algebra._root_image``); both are filled on first use.
     """
 
     def __init__(self, galois, orientation, _token=None):

@@ -11,7 +11,7 @@ from cmhodge import (
     enumerate_orientations,
     validate_orientation,
 )
-from cmhodge.algebra import _ratio
+from cmhodge.algebra import _gauge_units, _ratio
 from cmhodge.linalg import _accumulate
 
 
@@ -42,6 +42,34 @@ def entries(v):
         _accumulate(out, (i, j), c)
         _accumulate(out, (-j, -i), c * _ratio(v.field, i, j))
     return out
+
+
+def reference_galois_act(field, perm, v):
+    """Reference: the Galois action of a cyclotomic field from per-index factors, all rebuilt per call.
+
+    g (c X_{i,j}) = sigma(c) factor(i) cofactor(j) X_{g i, g j}, sigma the
+    coefficient automorphism of g, factor(k) = sigma(d_k) d^-1_{g k} and
+    cofactor(k) = sigma(d^-1_k) d_{g k} in the gauge of
+    ``algebra._gauge_units``.  Both factors are built for all 2n indices and
+    each coefficient meets them in two products; the image is folded onto
+    its canonical root by X_{-j,-i} = ratio(i, j) X_{i,j}.
+    """
+    exp = field.coeff_exponent(perm)
+    d, dinv = _gauge_units(field)
+    factor = {}
+    cofactor = {}
+    for k in field.signed_indices():
+        kk = field.act_index(perm, k)
+        factor[k] = d[k].galois(exp) * dinv[kk]
+        cofactor[k] = dinv[k].galois(exp) * d[kk]
+    out = {}
+    for (i, j), c in v.coeffs.items():
+        ii = field.act_index(perm, i)
+        jj = field.act_index(perm, j)
+        cc = c.galois(exp) * factor[i] * cofactor[j]
+        canon = canonical_root_index(field.n, ii, jj)
+        _accumulate(out, canon, cc if canon == (ii, jj) else cc * _ratio(field, ii, jj))
+    return AlgebraElement(field, out, _raw=True)
 
 
 def _matrix_power_degree(v):

@@ -52,7 +52,7 @@ def test_criterion(battery, timings, number, label):
     budget = RUNTIME_BUDGETS.get(number)
     if budget is not None:
         assert timings[number] < budget, (
-            f"criterion {number} took {timings[number]:.1f}s, budget {budget}s"
+            f"criterion {number} took {timings[number]:.2f}s, budget {budget}s"
         )
 
 

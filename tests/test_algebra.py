@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from cmhodge import (
     element_from_coeffs,
     element_from_json,
     enumerate_orientations,
+    euler_phi,
     galois_act_element,
     generated_subalgebra,
     is_rational,
@@ -27,6 +29,7 @@ from cmhodge import (
     validate_orientation,
     zero_element,
 )
+from cmhodge.acceptance import _first_oriented
 from cmhodge.algebra import _ratio
 from conftest import (
     _matrix_power_degree,
@@ -35,6 +38,7 @@ from conftest import (
     first_oriented,
     reference_bracket,
     reference_from_entries,
+    reference_galois_act,
 )
 
 
@@ -533,6 +537,53 @@ def test_action_rejects_foreign_elements(oriented7):
     v = root_vector(other, 1, 2)
     with pytest.raises(UsageError):
         galois_act_element(oriented7, oriented7.sigma(3), v)
+
+
+def _dense_element(field, rng):
+    """Random dense coefficients on a few roots, always including some X_{a,-a} and X_{-a,a}."""
+    M = field.working_conductor
+    a = rng.randrange(1, field.n + 1)
+    support = set(rng.sample(all_root_indices(field.n), 3)) | {(a, -a), (-a, a)}
+    return element_from_coeffs(field, {
+        ij: CyclotomicNumber(M, [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(euler_phi(M))])
+        for ij in sorted(support)
+    })
+
+
+@pytest.mark.parametrize("m,hodge", RATIONAL_FORM_FIELDS, ids=[f"m{m}" for m, _ in RATIONAL_FORM_FIELDS])
+def test_galois_action_matches_the_per_index_oracle(m, hodge):
+    # the first pass fills each group element's table, the second reads it
+    field = first_oriented(m, 3, hodge)
+    assert not field.gauge_factors
+    group = field.galois.enumerate_group()
+    rng = random.Random(f"monomial-table-{m}")
+    for _ in ("fresh", "warm"):
+        for g in group:
+            v = _dense_element(field, rng)
+            assert galois_act_element(field, g, v) == reference_galois_act(field, g, v)
+    assert len(field.gauge_factors) == len(group)
+
+
+@pytest.mark.parametrize("m,hodge", RATIONAL_FORM_FIELDS, ids=[f"m{m}" for m, _ in RATIONAL_FORM_FIELDS])
+def test_reynolds_average_is_the_oracle_orbit_sum(m, hodge):
+    field = first_oriented(m, 3, hodge)
+    rng = random.Random(f"orbit-sum-{m}")
+    for _ in range(2):
+        v = _dense_element(field, rng)
+        orbit_sum = zero_element(field)
+        for g in field.galois.enumerate_group():
+            orbit_sum = orbit_sum + reference_galois_act(field, g, v)
+        assert reynolds_average(field, v) == orbit_sum
+
+
+def test_single_root_average_fills_one_root_per_group_element():
+    field = _first_oriented(29, 3, (1, 13, 13, 1))
+    reynolds_average(field, root_vector(field, 1, 2))
+    tables = field.gauge_factors.values()
+    assert len(tables) == field.galois.group_order == 28
+    # one root entry per group element, and its two index factors; not all 2n
+    assert sum(len(roots) for roots, _, _ in tables) == 28
+    assert all(len(factor) == len(cofactor) == 1 for _, factor, cofactor in tables)
 
 
 # -- the structure-constant bracket against the matrix commutator ---------
