@@ -23,7 +23,7 @@ from operator import mul
 
 from .cmfield import basis_pos
 from .cyclotomic import CyclotomicNumber, _context
-from .errors import ConductorMismatchError, DomainError, NotNilpotentError, UsageError
+from .errors import ConductorMismatchError, NotNilpotentError, UsageError
 from .linalg import ModularSpan, SpanBasis, UnluckyPrimeError, _accumulate
 
 
@@ -221,10 +221,14 @@ def _gauge_units(field):
     zeta_m - zeta_m^{-1} and give the index with label a the pairing value
     sigma_a(zeta_m - zeta_m^{-1}).  Those values move exactly as the group
     moves labels, and d_k is the diagonal scale relating our basis to that
-    one.  Cyclotomic flavor only; kept in ``field.gauge_units``.
+    one.  Kept in ``field.gauge_units``; an abstract field has no gauge and
+    is refused by ``field.sigma`` before any arithmetic.
     """
     if field.gauge_units is not None:
         return field.gauge_units
+    lifts = {
+        k: field.coeff_exponent(field.sigma(field.index_to_label[k])) for k in range(1, field.n + 1)
+    }
     m = field.galois.conductor
     M = field.working_conductor
     one = CyclotomicNumber.one(M)
@@ -237,9 +241,7 @@ def _gauge_units(field):
     q0_inverse = q0.inverse()
     d = {}
     dinv = {}
-    for k in range(1, field.n + 1):
-        lab = field.index_to_label[k]
-        lift = field.coeff_exponent(field.sigma(lab))
+    for k, lift in lifts.items():
         unit = i_unit * field.epsilons[k]
         d[k] = q0_inverse.galois(lift) * unit
         dinv[k] = q0.galois(lift) * -unit
@@ -281,10 +283,6 @@ def _act_into(out, field, perm, v):
     if v.field is not field and v.field != field:
         raise UsageError("element does not belong to the given field")
     exp = field.coeff_exponent(perm)
-    if exp is None:
-        for (i, j), c in v.coeffs.items():
-            _accumulate(out, *_fold(field, field.act_index(perm, i), field.act_index(perm, j), c))
-        return
     table = field.gauge_factors.get(perm)
     if table is None:
         table = field.gauge_factors[perm] = ({}, {}, {})
@@ -305,14 +303,9 @@ def galois_act_element(field, perm, v):
     action that commutes with the bracket, and group averaging therefore
     lands in the fixed subspace.  Each group element keeps the units and
     folded images of the roots met so far (``_root_image``), so a
-    coefficient costs one automorphism and one product.
-
-    For the abstract flavor no such gauge is available (coefficients are
-    plain scalars) and the bare substitution is used.  It is not a group
-    action: on the abstract Z/6 datum, averages over it are not fixed by a
-    generator (10 of the 22 that rigidity takes at Hodge 0,3,3,0, 6 of 6 at
-    Hodge 1,2,0,0,2,1), so neither their coefficients nor their supports
-    are group averages.
+    coefficient costs one automorphism and one product.  Only a cyclotomic
+    field has the coefficient automorphisms; an abstract field is refused
+    by ``OrientedCMField.coeff_exponent``.
     """
     out = {}
     _act_into(out, field, perm, v)
@@ -322,18 +315,12 @@ def galois_act_element(field, perm, v):
 def is_rational(field, v):
     """Fixed by every element of ``field.galois.group_generators``, hence by the whole group.
 
-    On a cyclotomic field those are the generators alone: conjugation is a
-    word in them there, so applying it too would only repeat work.  An
-    abstract field is refused with ``DomainError``: its bare index
-    substitution (``galois_act_element``) is not a group action, so being
-    fixed by it says nothing about rationality.
+    Those are the generators alone: conjugation is a word in them, so
+    applying it too would only repeat work.  Rationality is being fixed by
+    the coefficient Galois action, which only a cyclotomic field has; on an
+    abstract field the first ``galois_act_element`` raises ``DomainError``
+    with reason ``rationality-needs-cyclotomic``.
     """
-    if field.galois.flavor != "cyclotomic":
-        raise DomainError(
-            "rationality needs the Galois action on a cyclotomic field; "
-            "an abstract field has none",
-            reason="rationality-needs-cyclotomic",
-        )
     for g in field.galois.group_generators:
         if galois_act_element(field, g, v) != v:
             return False
@@ -341,7 +328,11 @@ def is_rational(field, v):
 
 
 def reynolds_average(field, v):
-    """Sum of the full Galois orbit of v; the constructive source of rational elements."""
+    """Sum of the full Galois orbit of v; the constructive source of rational elements.
+
+    The gauge comes first, so an abstract field is refused before its group is listed.
+    """
+    _gauge_units(field)
     out = {}
     for g in field.galois.enumerate_group():
         _act_into(out, field, g, v)
@@ -443,11 +434,11 @@ def _fixed_form(v):
     zeta_m^y (y < m) reduce to the power basis modulo Phi_m.
     """
     field = v.field
+    d, dinv = _gauge_units(field)
     m = field.galois.conductor
     M = field.working_conductor
     size = 2 * field.n
     step = M // m
-    d, dinv = _gauge_units(field)
     # row 1 of N from the X-coefficients: c X_{1,j} puts c at (1, j), and
     # c X_{i,-1} puts c ratio(i, -1) at (1, -i); X_{1,-1} gets both
     row = {}

@@ -21,6 +21,7 @@ from math import factorial, gcd, lcm
 
 from .cyclotomic import euler_phi
 from .errors import (
+    DomainError,
     EnumerationCapError,
     InvalidOrientationError,
     NotCMFieldError,
@@ -457,14 +458,14 @@ class OrientedCMField:
     def coeff_exponent(self, perm):
         """Exponent of the coefficient automorphism induced by a group element.
 
-        Cyclotomic flavor: the label action is multiplication by some unit a
-        mod m, and the coefficient field has conductor lcm(4, m); for odd m
-        the exponent is the unique lift of a that fixes the fourth root of
-        unity.  Abstract flavor: None (coefficients are plain scalars).
+        The label action is multiplication by some unit a mod m, and the
+        coefficient field has conductor lcm(4, m); for odd m the exponent is
+        the unique lift of a that fixes the fourth root of unity.  Only a
+        cyclotomic field has this automorphism: an abstract field raises
+        ``DomainError`` (``_action_conductor``), and every use of the
+        coefficient action meets that refusal before any arithmetic.
         """
-        if self.galois.flavor != "cyclotomic":
-            return None
-        m = self.galois.conductor
+        m = _action_conductor(self.galois)
         a = self.galois.apply(perm, 1)
         M = self.working_conductor
         if M == m:
@@ -473,10 +474,8 @@ class OrientedCMField:
         return (a + m * t) % M
 
     def sigma(self, a):
-        """The group element multiplying labels by a (cyclotomic flavor only)."""
-        if self.galois.flavor != "cyclotomic":
-            raise UsageError("sigma(a) only makes sense for cyclotomic flavor")
-        m = self.galois.conductor
+        """The group element multiplying labels by a; an abstract field is refused as in ``coeff_exponent``."""
+        m = _action_conductor(self.galois)
         if gcd(a % m, m) != 1:
             raise UsageError(f"{a} is not a unit modulo {m}")
         return tuple((a * lab) % m for lab in self.galois.labels)
@@ -497,6 +496,21 @@ class OrientedCMField:
 
 
 _BUILD_TOKEN = object()
+
+
+def _action_conductor(galois):
+    """m, for the automorphisms of Q(zeta_m) that the group applies to coefficients.
+
+    The one flavor check of the coefficient Galois action: an abstract
+    field's coefficients carry no automorphism, so it is refused.
+    """
+    if galois.flavor != "cyclotomic":
+        raise DomainError(
+            "rationality needs the Galois action on a cyclotomic field; "
+            "an abstract field has none",
+            reason="rationality-needs-cyclotomic",
+        )
+    return galois.conductor
 
 
 def _check_odd_weight(weight):

@@ -206,51 +206,9 @@ def _format_poly(coeffs, var):
     return text.replace("+ -", "- ")
 
 
-def _primitive(a):
-    """The int list a divided by the gcd of its entries (the empty list stays empty)."""
-    g = gcd(*a)
-    if g <= 1:
-        return a
-    return [x // g for x in a]
-
-
-def _pseudo_remainder(a, b):
-    """The remainder of a by b up to a nonzero int factor, on trimmed int lists, b nonempty.
-
-    Each step scales the running remainder only by what the leading
-    coefficient of b does not share with its top entry, and no quotient is
-    kept.
-    """
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) > db:
-        top = r[-1]
-        g = gcd(top, lead)
-        f, c = lead // g, top // g
-        if f != 1:
-            r = [f * x for x in r]
-        shift = len(r) - 1 - db
-        for j, bj in enumerate(b):
-            if bj:
-                r[shift + j] -= c * bj
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
 def poly_gcd(f, g):
-    """Monic greatest common divisor; gcd(0, 0) = 0.
-
-    Runs a primitive remainder sequence on the integer numerators (Cohen, A
-    Course in Computational Algebraic Number Theory, 3.3): every step takes
-    a pseudo-remainder and divides out its content, and the last nonzero
-    term is made monic once at the end.
-    """
-    a, b = _primitive(list(f.num)), _primitive(list(g.num))
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return Poly._make(a).monic()
+    """Monic greatest common divisor; gcd(0, 0) = 0.  The d of ``poly_xgcd``."""
+    return poly_xgcd(f, g)[0]
 
 
 def poly_xgcd(f, g):

@@ -109,8 +109,8 @@ def circulant_rank(spec):
 
     When none of the eigenvalues f(omega^k) vanishes modulo the split prime
     q, the rank is p (``_full_rank_mod_split_prime`` holds the argument).
-    Every other spec takes the primitive remainder sequence of the symbol
-    against x^p - 1 (``_circulant_rank_by_gcd``).  So every rank below p
+    Every other spec takes the monic gcd of the symbol and x^p - 1 by
+    Euclid over Q (``_circulant_rank_by_gcd``).  So every rank below p
     comes from the exact route, and neither route assumes anything about
     the factors of x^p - 1 over Q: a non-constant odd circulant of rank
     below p would still reach ``ribet_dichotomy``'s violation.
@@ -310,6 +310,12 @@ def rigidity_verdict(field):
     the only way rigidity can fail.  Under the hypotheses (h of type
     (1, 1, ...) at the top and 4 not dividing 2n) any such orbit contradicts
     the rigidity theorem, so one is reported as a violation.
+
+    Orbits are walked from ``group_generators`` on every field, so no group
+    element is listed.  On a cyclotomic field each offending orbit also
+    carries the Reynolds average of its representative root (the
+    ``witness_*`` fields); an abstract field has no coefficient Galois
+    action to average over, and its offending orbits carry none.
     """
     n = field.n
     weight = field.weight
@@ -328,6 +334,7 @@ def rigidity_verdict(field):
         "dim_not_divisible_by_4": (2 * n) % 4 != 0,
     }
     hypotheses_met = all(hypotheses.values())
+    cyclotomic = field.galois.flavor == "cyclotomic"
     orbits_report = []
     offending = []
     for orbit in _edge_orbits(field):
@@ -343,13 +350,13 @@ def rigidity_verdict(field):
             "has_nonzero_bidegree": has_nonzero,
         }
         if admissible and has_nonzero:
-            a, b = orbit[0]
-            avg = reynolds_average(field, root_vector(field, a, b))
-            graph, _ = support_graph(avg)
-            realized = {tuple(e) for e in graph.edges}
-            entry["witness_nonzero"] = not avg.is_zero()
-            entry["witness_support_edges"] = [list(e) for e in graph.edges]
-            entry["witness_cancellation"] = realized != set(orbit)
+            if cyclotomic:
+                avg = reynolds_average(field, root_vector(field, *orbit[0]))
+                graph, _ = support_graph(avg)
+                realized = {tuple(e) for e in graph.edges}
+                entry["witness_nonzero"] = not avg.is_zero()
+                entry["witness_support_edges"] = [list(e) for e in graph.edges]
+                entry["witness_cancellation"] = realized != set(orbit)
             offending.append(entry)
         orbits_report.append(entry)
     rigid = not offending

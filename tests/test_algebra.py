@@ -472,48 +472,48 @@ def test_is_rational_agrees_with_the_check_that_applies_conjugation(m, hodge):
     assert not any(is_rational(field, v) for v in not_rational)
 
 
+BALANCED_Z6 = {"a": (3, 0), "b": (2, 1), "c": (2, 1), "A": (0, 3), "B": (1, 2), "C": (1, 2)}
+ABSTRACT_REFUSAL = (
+    "rationality needs the Galois action on a cyclotomic field; an abstract field has none"
+)
+
+
+def _assert_refused(call, *args):
+    with pytest.raises(DomainError) as err:
+        call(*args)
+    assert err.value.reason == "rationality-needs-cyclotomic"
+    assert str(err.value) == ABSTRACT_REFUSAL
+
+
 def test_is_rational_on_an_abstract_field_still_checks_conjugation():
     galois = abstract_z6()
-    field = validate_orientation(
-        galois,
-        Orientation(
-            3,
-            {"a": (3, 0), "b": (2, 1), "c": (2, 1),
-             "A": (0, 3), "B": (1, 2), "C": (1, 2)},
-        ),
-    )
+    field = validate_orientation(galois, Orientation(3, BALANCED_Z6))
     assert galois.group_generators == galois.generators + (galois.conjugation,)
-    # the 3-cycle permutes the Cartan elements, conjugation negates them
+    # the 3-cycle permutes the Cartan index pairs, conjugation sends X_kk to
+    # X_{-k,-k} = -X_kk; but no coefficient automorphism goes with either
     h = sum(cartan_elements(field)[1:], cartan_elements(field)[0])
-    assert all(galois_act_element(field, g, h) == h for g in galois.generators)
-    assert galois_act_element(field, galois.conjugation, h) == -h
-    # the bare substitution is not a group action, so rationality is refused
-    with pytest.raises(DomainError) as err:
-        is_rational(field, h)
-    assert err.value.reason == "rationality-needs-cyclotomic"
+    rot = galois.generators[0]
+    assert sorted(field.act_index(rot, k) for k in (1, 2, 3)) == [1, 2, 3]
+    assert [field.act_index(galois.conjugation, k) for k in (1, 2, 3)] == [-1, -2, -3]
+    assert sum((root_vector(field, -k, -k) for k in (2, 3)), root_vector(field, -1, -1)) == -h
+    for g in galois.group_generators:
+        _assert_refused(galois_act_element, field, g, h)
+    _assert_refused(is_rational, field, h)
 
 
 def test_abstract_action_is_bare_substitution():
+    # the labels move, but there is no coefficient action to move with them
     galois = abstract_z6()
-    field = validate_orientation(
-        galois,
-        Orientation(
-            3,
-            {"a": (3, 0), "b": (2, 1), "c": (2, 1),
-             "A": (0, 3), "B": (1, 2), "C": (1, 2)},
-        ),
-    )
+    field = validate_orientation(galois, Orientation(3, BALANCED_Z6))
     rot = galois.generators[0]
     assert [field.act_index(rot, k) for k in (1, 2, 3)] == [2, 3, 1]
-    moved = galois_act_element(field, rot, root_vector(field, 1, 2))
-    assert moved == root_vector(field, 2, 3)
+    _assert_refused(galois_act_element, field, rot, root_vector(field, 1, 2))
 
 
-def test_abstract_extreme_orientation_average_is_fixed():
-    # with every sign on one side the ratios are orbit-constant, so even the
-    # bare substitution is a genuine action and averaging lands in the fixed
-    # space; the balanced orientation has no such luck, and is_rational
-    # refuses every abstract field alike
+def test_abstract_extreme_orientation_average_is_fixed(monkeypatch):
+    # with every sign on one side the ratios are orbit-constant, but an
+    # abstract field still has no coefficient action, so no average is taken
+    # and the group is never listed
     galois = abstract_z6()
     extreme = validate_orientation(
         galois,
@@ -524,12 +524,32 @@ def test_abstract_extreme_orientation_average_is_fixed():
         ),
     )
     assert {k: extreme.epsilons[k] for k in (1, 2, 3)} == {1: 1, 2: 1, 3: 1}
-    avg = reynolds_average(extreme, root_vector(extreme, 1, 2))
-    assert not avg.is_zero()
-    assert all(galois_act_element(extreme, g, avg) == avg for g in galois.group_generators)
-    with pytest.raises(DomainError) as err:
-        is_rational(extreme, avg)
-    assert err.value.reason == "rationality-needs-cyclotomic"
+    monkeypatch.setattr(galois, "enumerate_group", lambda: pytest.fail("the group was listed"))
+    x12 = root_vector(extreme, 1, 2)
+    _assert_refused(reynolds_average, extreme, x12)
+    _assert_refused(is_rational, extreme, x12)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["galois_act_element", "reynolds_average", "is_rational", "rational_nilpotency_degree", "sigma"],
+)
+def test_every_coefficient_action_entry_point_refuses_an_abstract_field(monkeypatch, entry):
+    # one refusal, met before the gauge is built or the group is listed;
+    # rational_nilpotency_degree used to fail with a TypeError here
+    galois = abstract_z6()
+    field = validate_orientation(galois, Orientation(3, BALANCED_Z6))
+    monkeypatch.setattr(galois, "enumerate_group", lambda: pytest.fail("the group was listed"))
+    v = root_vector(field, 1, -1)
+    calls = {
+        "galois_act_element": (galois_act_element, field, galois.generators[0], v),
+        "reynolds_average": (reynolds_average, field, v),
+        "is_rational": (is_rational, field, v),
+        "rational_nilpotency_degree": (rational_nilpotency_degree, v),
+        "sigma": (field.sigma, 1),
+    }
+    _assert_refused(*calls[entry])
+    assert field.gauge_units is None and not field.gauge_factors
 
 
 def test_action_rejects_foreign_elements(oriented7):

@@ -256,6 +256,25 @@ def test_rigidity_runs_on_an_abstract_group_above_the_cap(capsys, tmp_path):
     assert doc["error"]["reason"] == "enumeration-cap-exceeded"
 
 
+def test_abstract_rigidity_with_offending_orbits_runs_above_the_cap(capsys, tmp_path):
+    # at weight 1 every edge orbit is admissible; an abstract field has no
+    # coefficient action, so its offending orbits carry no Reynolds average
+    # and the 645120 elements are still never listed
+    field, _ = _hyperoctahedral_b7()
+    path = tmp_path / "b7.json"
+    path.write_text(json.dumps(field), encoding="utf-8")
+    assignment = {}
+    for i in range(7):
+        assignment[f"a{i}"], assignment[f"b{i}"] = [1, 0], [0, 1]
+    orientation = json.dumps({"weight": 1, "assignment": assignment})
+    code, doc = run_cli(capsys, "rigidity", "--abstract-file", str(path), "--orientation", orientation)
+    assert code == 0
+    result = doc["result"]
+    assert result["verdict"] == "not-rigid"
+    assert result["offending_orbits"] == [[1, 2], [1, -1]]
+    assert not any(key.startswith("witness_") for orbit in result["orbits"] for key in orbit)
+
+
 def test_field_reports_the_order_of_an_abstract_group_above_the_cap(capsys, tmp_path):
     # the order comes from a stabilizer chain, so the 645120 elements are never listed
     field, _ = _hyperoctahedral_b7()

@@ -1,11 +1,12 @@
 """Random orientation, element and abstract field documents against the CLI exit-code contract.
 
 Every run of ``grading``, ``nondeg`` and ``rigidity`` on an orientation,
-of ``escape --element`` and ``partition`` on an element file, and of
-``field`` and ``orient enumerate`` on an abstract field file, ends with one
-JSON document and exit code 0 (ok), 2 (usage), 3 (domain) or 4 (theorem
-violation); an error document names its ``reason`` as a lowercase slug.  A
-traceback would surface here as an exception out of ``main``.
+of ``escape --element`` and ``partition`` on an element file, and of every
+command that takes an abstract field file, on a valid or a damaged one,
+ends with one JSON document and exit code 0 (ok), 2 (usage), 3 (domain) or
+4 (theorem violation); an error document names its ``reason`` as a
+lowercase slug.  A traceback would surface here as an exception out of
+``main``.
 """
 
 import contextlib
@@ -212,27 +213,27 @@ def _run(argv):
 
 
 @st.composite
-def abstract_runs(draw):
-    """An abstract field document, an orientation of it and the text of an element over it.
+def abstract_fields(draw, min_pairs=1):
+    """An abstract field document and its conjugate pairs.
 
     The group is generated by signed permutations of n <= 4 conjugate pairs,
     the first an n-cycle on the pairs, so it is transitive on the 2n labels
     and commutes with conjugation.  Labels are strings or integers, listed in
     random order.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(min_pairs, 4))
     label = st.text("abcAB", min_size=1, max_size=2) | st.integers(-3, 20)
     labels = draw(st.lists(label, min_size=2 * n, max_size=2 * n, unique_by=str))
-    # labels[k] and labels[n + k] are the k-th conjugate pair
+    pairs = list(zip(labels[:n], labels[n:]))
 
     def signed(perm):
         flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         image = {}
         for k in range(n):
-            a, b = labels[perm[k]], labels[n + perm[k]]
+            a, b = pairs[perm[k]]
             if flips[k]:
                 a, b = b, a
-            image[labels[k]], image[labels[n + k]] = a, b
+            image[pairs[k][0]], image[pairs[k][1]] = a, b
         return image
 
     order = draw(st.permutations(range(n)))
@@ -241,30 +242,40 @@ def abstract_runs(draw):
         cycle[order[i]] = order[(i + 1) % n]
     images = [signed(cycle)] + [signed(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(0, 2)))]
     listed = draw(st.permutations(labels))
-    conjugation = {**dict(zip(labels[:n], labels[n:])), **dict(zip(labels[n:], labels[:n]))}
+    conjugation = {**dict(pairs), **{b: a for a, b in pairs}}
     field_doc = {
         "flavor": "abstract",
         "labels": listed,
         "generators": [[image[lab] for lab in listed] for image in images],
         "conjugation": [conjugation[lab] for lab in listed],
     }
+    return field_doc, pairs
+
+
+def _orientation(draw, pairs):
+    """A weight, an assignment over the pairs and its Hodge numbers."""
     weight = draw(st.sampled_from((1, 3, 5)))
     assignment = {}
-    for k in range(n):
+    for a, b in pairs:
         t = draw(st.integers(0, weight))
-        assignment[labels[k]] = (weight - t, t)
-        assignment[labels[n + k]] = (t, weight - t)
-    field = validate_orientation(field_from_json(field_doc), Orientation(weight, assignment))
-    kind = draw(st.sampled_from(("raw", "average", "zero")))
-    v = zero_element(field)
-    if kind != "zero":
-        support = draw(st.lists(st.sampled_from(all_root_indices(n)), min_size=1, max_size=3, unique=True))
-        v = element_from_coeffs(field, {ij: draw(st.sampled_from((-2, -1, 1, 3))) for ij in support})
-        if kind == "average":
-            v = reynolds_average(field, v)
+        assignment[a] = (weight - t, t)
+        assignment[b] = (t, weight - t)
     hodge = [0] * (weight + 1)
     for p, _ in assignment.values():
         hodge[weight - p] += 1
+    return weight, assignment, hodge
+
+
+@st.composite
+def abstract_runs(draw):
+    """An abstract field document, an orientation of it and the text of an element over it."""
+    field_doc, pairs = draw(abstract_fields())
+    weight, assignment, hodge = _orientation(draw, pairs)
+    field = validate_orientation(field_from_json(field_doc), Orientation(weight, assignment))
+    v = zero_element(field)
+    if draw(st.sampled_from(("raw", "zero"))) == "raw":
+        support = draw(st.lists(st.sampled_from(all_root_indices(len(pairs))), min_size=1, max_size=3, unique=True))
+        v = element_from_coeffs(field, {ij: draw(st.sampled_from((-2, -1, 1, 3))) for ij in support})
     return field_doc, field.orientation.to_json(), hodge, json.dumps(v.to_json())
 
 
@@ -310,3 +321,70 @@ def test_abstract_field_commands_keep_the_exit_code_contract(run):
         expected = (3, "rationality-needs-cyclotomic")
     code, doc = runs["escape"]
     assert (code, doc["error"]["reason"]) == expected
+
+
+# each damage breaks one check of the field's validation, before any command reads the orientation
+ABSTRACT_DAMAGES = {
+    "wrong-length": (2, "usage-error"),
+    "not-a-permutation": (2, "usage-error"),
+    "duplicate-label": (2, "usage-error"),
+    "odd-label-count": (3, "not-a-cm-field"),
+    "conjugation-fixed-point": (3, "conjugation-has-fixed-point"),
+    "conjugation-not-involution": (3, "conjugation-not-involution"),
+    "conjugation-not-central": (3, "conjugation-not-central"),
+}
+
+
+@st.composite
+def damaged_abstract_runs(draw):
+    """A valid abstract field document with one damage, and a well-formed orientation of the undamaged field."""
+    doc, pairs = draw(abstract_fields(min_pairs=2))
+    weight, assignment, hodge = _orientation(draw, pairs)
+    damage = draw(st.sampled_from(sorted(ABSTRACT_DAMAGES)))
+    labels, conjugation = doc["labels"], doc["conjugation"]
+    pos = {lab: i for i, lab in enumerate(labels)}
+    perm = doc["generators"][0] if draw(st.booleans()) else conjugation
+    (a, b), (c, d) = draw(st.permutations(pairs))[:2]
+    if damage == "wrong-length":
+        if draw(st.booleans()):
+            perm.pop()
+        else:
+            perm.append(perm[0])
+    elif damage == "not-a-permutation":
+        i, j = draw(st.permutations(range(len(perm))))[:2]
+        perm[i] = draw(st.sampled_from((perm[j], "zz")))
+    elif damage == "duplicate-label":
+        labels[-1] = labels[0]
+    elif damage == "odd-label-count":
+        labels.pop()
+    elif damage == "conjugation-fixed-point":
+        conjugation[pos[a]], conjugation[pos[b]] = a, b
+    elif damage == "conjugation-not-involution":
+        # the 4-cycle a -> b -> c -> d -> a has no fixed point
+        for x, y in ((a, b), (b, c), (c, d), (d, a)):
+            conjugation[pos[x]] = y
+    else:
+        # swapping a and c alone does not commute with a <-> b, c <-> d
+        doc["generators"].append([{a: c, c: a}.get(lab, lab) for lab in labels])
+    return damage, doc, {"weight": weight, "assignment": {str(k): list(v) for k, v in assignment.items()}}, hodge
+
+
+@settings(max_examples=60, deadline=None)
+@given(damaged_abstract_runs())
+def test_damaged_abstract_files_keep_the_exit_code_contract(run):
+    damage, field_doc, orientation, hodge = run
+    with tempfile.TemporaryDirectory() as tmp:
+        field_path = Path(tmp) / "field.json"
+        field_path.write_text(json.dumps(field_doc), encoding="utf-8")
+        field_args = ["--abstract-file", str(field_path)]
+        oriented_args = field_args + ["--orientation", json.dumps(orientation)]
+        runs = [
+            _run(["field", *field_args]),
+            _run(["orient", "enumerate", *field_args, "--weight", str(orientation["weight"]),
+                  "--hodge", ",".join(map(str, hodge))]),
+            *(_run([command, *oriented_args]) for command in ("grading", "nondeg", "rigidity", "escape")),
+        ]
+    for code, doc in runs:
+        assert code in (2, 3)
+        assert REASON.match(doc["error"]["reason"]), doc
+        assert (code, doc["error"]["reason"]) == ABSTRACT_DAMAGES[damage], doc

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cmhodge import (
+    DomainError,
     EnumerationCapError,
     InvalidOrientationError,
     NotCMFieldError,
@@ -497,9 +498,12 @@ def test_abstract_field_has_no_coefficient_automorphisms():
     field = validate_orientation(galois, Orientation(3, assignment))
     assert field.working_conductor == 4
     for g in galois.enumerate_group():
-        assert field.coeff_exponent(g) is None
-    with pytest.raises(UsageError):
+        with pytest.raises(DomainError) as err:
+            field.coeff_exponent(g)
+        assert err.value.reason == "rationality-needs-cyclotomic"
+    with pytest.raises(DomainError) as err:
         field.sigma(3)
+    assert err.value.reason == "rationality-needs-cyclotomic"
 
 
 def test_oriented_json_round_trip(oriented7):

@@ -309,6 +309,30 @@ def test_rigidity_never_raises_without_hypotheses():
         assert out["verdict"] in ("rigid", "not-rigid")
 
 
+WITNESS_KEYS = {"witness_nonzero", "witness_support_edges", "witness_cancellation"}
+
+
+def test_offending_orbits_carry_witnesses_on_cyclotomic_fields_only(monkeypatch):
+    galois = build_cyclotomic_cm(9)
+    offending = 0
+    for o in enumerate_orientations(galois, 3, (2, 1, 1, 2)):
+        out = rigidity_verdict(validate_orientation(galois, o))
+        for orbit in out["orbits"]:
+            flagged = orbit["admissible"] and orbit["has_nonzero_bidegree"]
+            offending += flagged
+            assert WITNESS_KEYS <= orbit.keys() if flagged else not WITNESS_KEYS & orbit.keys()
+    assert offending
+    # the abstract verdict comes from the same edge orbits, with no average and no group listing
+    galois = abstract_z6()
+    monkeypatch.setattr(galois, "enumerate_group", lambda: pytest.fail("the group was listed"))
+    offending = 0
+    for o in enumerate_orientations(galois, 3, (0, 3, 3, 0)):
+        out = rigidity_verdict(validate_orientation(galois, o))
+        offending += len(out["offending_orbits"])
+        assert not any(WITNESS_KEYS & orbit.keys() for orbit in out["orbits"])
+    assert offending
+
+
 @pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (13, (1, 5, 5, 1)), (16, (1, 3, 3, 1))])
 def test_edge_orbits_match_the_images_under_every_group_element(m, hodge):
     # the orbits are walked from the generators; here each is the set of images of its first edge
