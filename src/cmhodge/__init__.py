@@ -52,9 +52,6 @@ from .errors import (
     UsageError,
 )
 from .graphs import (
-    BlockVerdict,
-    Partition,
-    SupportGraph,
     is_block_system,
     support_graph,
     trivial_partition_check,
@@ -62,7 +59,6 @@ from .graphs import (
 from .polynomials import Poly, cyclotomic_polynomial, poly_gcd
 from .verifiers import (
     CirculantSpec,
-    RankReport,
     circulant_matrix,
     circulant_rank,
     escape_verdict,

@@ -111,7 +111,7 @@ def _fixed_symplectic_pairs(field):
     over Q(zeta_M) with no rank check.
 
     In the equivariant gauge (``algebra._gauge_units``) the pairing value at
-    index k is sigma_l(zeta_m - zeta_m^-1) with l the label of k, and the
+    index k is P_k = zeta_m^l - zeta_m^-l with l the label of k, and the
     group preserves the pairing on the nose.  On the y_a the pairing is
     therefore the integer Toeplitz matrix
 
@@ -123,10 +123,9 @@ def _fixed_symplectic_pairs(field):
     pairing(u_a, u_b) = pairing(v_a, v_b) = 0, each a combination
     sum_b c_b y_b whose rational c_b are kept as integer numerators over one
     denominator, the representation of ``CyclotomicNumber``.  Returns the
-    pairs, embedded as coordinate dicts, and the pairing values on the
-    coordinate vectors; everything is exact.  The equivariant gauge exists
-    for the cyclotomic flavor only, so an abstract field is refused before
-    any work.
+    pairs, embedded as coordinate dicts; everything is exact.  The
+    equivariant gauge exists for the cyclotomic flavor only, so an abstract
+    field is refused before any work.
     """
     if field.galois.flavor != "cyclotomic":
         raise DomainError(
@@ -137,11 +136,6 @@ def _fixed_symplectic_pairs(field):
     M = field.working_conductor
     step = M // m
     idx = field.signed_indices()
-    pairing_values = {}
-    for k in idx:
-        e = step * field.index_to_label[k]
-        pairing_values[k] = CyclotomicNumber.root_of_unity(M, e) - CyclotomicNumber.root_of_unity(M, -e)
-
     size = 2 * field.n
     gram = _gram_matrix(m, size)
 
@@ -199,7 +193,7 @@ def _fixed_symplectic_pairs(field):
             out[k] = CyclotomicNumber._make(M, coord, den)
         return out
 
-    return tuple((embed(u), embed(v)) for u, v in pairs), pairing_values
+    return tuple((embed(u), embed(v)) for u, v in pairs)
 
 
 def _rank_two_row(s, t, idx):
@@ -207,7 +201,7 @@ def _rank_two_row(s, t, idx):
     return {j: s[1] * t[-j] + t[1] * s[-j] for j in idx}
 
 
-def _from_row(field, pairing_values, row):
+def _from_row(field, row):
     """The rational element whose gauge matrix G has first row ``row`` times the pairing values.
 
     In the equivariant gauge (``algebra._gauge_units``) a rational element
@@ -216,26 +210,22 @@ def _from_row(field, pairing_values, row):
     lift.  With s = l(a), sigma_s sends index 1 to a, so every canonical
     entry is a conjugate of row 1: G(a, b) = sigma_s(G(1, sigma_s^-1 b)).
     The X-coefficient at a canonical (a, b) is then d_a^-1 G(a, b) d_b,
-    halved at b = -a because X_{a,-a} = 2 E_{a,-a}.  ``is_rational`` stays
-    the independent check of the fill.
+    halved at b = -a because X_{a,-a} = 2 E_{a,-a}.  The pairing values
+    and the lifts of sigma_s come from the gauge.  ``is_rational`` stays the
+    independent check of the fill.
     """
     m = field.galois.conductor
     labels = field.index_to_label
     index_of = field.label_to_index
+    d, dinv, pairing_values, lifts = _gauge_units(field)
     gauged = {j: x * pairing_values[-j] for j, x in row.items() if x}
-    # per first index a: the lift of sigma_l(a) and l(a)^-1 mod m
-    moves = {
-        a: (field.coeff_exponent(field.sigma(labels[a])), pow(labels[a], -1, m))
-        for a in field.signed_indices()
-    }
-    d, dinv = _gauge_units(field)
+    inverses = {a: pow(labels[a], -1, m) for a in field.signed_indices()}  # l(a)^-1 mod m
     coeffs = {}
     for a, b in all_root_indices(field.n):
-        lift, inverse = moves[a]
-        val = gauged.get(index_of[labels[b] * inverse % m])
+        val = gauged.get(index_of[labels[b] * inverses[a] % m])
         if val is None:
             continue
-        c = dinv[a] * val.galois(lift) * d[b]
+        c = dinv[a] * val.galois(lifts[a]) * d[b]
         coeffs[(a, b)] = c / 2 if b == -a else c
     return AlgebraElement(field, coeffs, _raw=True)
 
@@ -266,13 +256,12 @@ def rational_nilpotent_witness(field):
     ingredient is fixed under the group; only its first row is computed,
     the rest is the Galois action (``_from_row``).
     """
-    pairs, pairing_values = _fixed_symplectic_pairs(field)
-    return _from_row(field, pairing_values, _chain_rows(field, pairs)[0])
+    return _from_row(field, _chain_rows(field, _fixed_symplectic_pairs(field))[0])
 
 
 def rational_nilpotent_examples(field):
     """Named rational nilpotents of degrees 2, n and 2n for property sweeps."""
-    pairs, pairing_values = _fixed_symplectic_pairs(field)
+    pairs = _fixed_symplectic_pairs(field)
     idx = field.signed_indices()
     (u1, v1), (u2, v2) = pairs[0], pairs[1]
     full_row, open_row = _chain_rows(field, pairs)
@@ -284,7 +273,7 @@ def rational_nilpotent_examples(field):
         ("half-chain", open_row),
         ("full-chain", full_row),
     ]
-    return [(name, _from_row(field, pairing_values, row)) for name, row in rows]
+    return [(name, _from_row(field, row)) for name, row in rows]
 
 
 # -- the nine criteria --------------------------------------------------
@@ -413,9 +402,8 @@ def criterion_block_systems(rng):
             if averaged.is_zero():
                 zero_averages += 1
             _, partition = support_graph(averaged)
-            verdict = is_block_system(field, partition)
             block_checks += 1
-            if not verdict.is_block_system:
+            if not is_block_system(field, partition)["is_block_system"]:
                 failures += 1
         cases.append(
             {

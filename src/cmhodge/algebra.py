@@ -204,8 +204,10 @@ def element_from_json(obj):
             raise UsageError(
                 f"element term {term!r} needs 'i', 'j' and 'coeff'", reason="bad-element"
             )
-        c = CyclotomicNumber.from_json(term["coeff"])
-        coeffs[(term["i"], term["j"])] = c
+        ij = (term["i"], term["j"])
+        if ij in coeffs:
+            raise UsageError(f"element term {ij!r} is repeated", reason="bad-element")
+        coeffs[ij] = CyclotomicNumber.from_json(term["coeff"])
     return element_from_coeffs(field, coeffs)
 
 
@@ -213,42 +215,42 @@ def element_from_json(obj):
 
 
 def _gauge_units(field):
-    """Diagonal change of scale d_k making the group act by bare substitution.
+    """The equivariant gauge (d, dinv, pairing values, lifts), each a dict over the signed indices.
 
     The fixed choice Q_k = epsilon_k * i is not constant along group orbits,
     so substituting indices alone is not compositional.  There is however a
-    rescaled basis on which it is: pick the conjugation-odd quantity
-    zeta_m - zeta_m^{-1} and give the index with label a the pairing value
-    sigma_a(zeta_m - zeta_m^{-1}).  Those values move exactly as the group
-    moves labels, and d_k is the diagonal scale relating our basis to that
-    one.  Kept in ``field.gauge_units``; an abstract field has no gauge and
-    is refused by ``field.sigma`` before any arithmetic.
+    rescaled basis on which it is: give the index k with label l the pairing
+    value P_k = zeta_m^l - zeta_m^-l = sigma_l(q0), q0 = zeta_m - zeta_m^-1.
+    Those values move exactly as the group moves labels, and d_k is the
+    diagonal scale relating our basis to that one: dinv_k = -i eps_k P_k and
+    d_k = 1 / dinv_k for k > 0, d_-k = dinv_-k = 1.  ``lifts[k]`` is the
+    exponent of sigma_l on Q(zeta_M), the lift that fixes i.  Kept in
+    ``field.gauge_units``; an abstract field has no gauge and is refused by
+    ``field.sigma`` before any arithmetic.
     """
     if field.gauge_units is not None:
         return field.gauge_units
-    lifts = {
-        k: field.coeff_exponent(field.sigma(field.index_to_label[k])) for k in range(1, field.n + 1)
-    }
-    m = field.galois.conductor
+    labels = field.index_to_label
+    idx = field.signed_indices()
+    lifts = {k: field.coeff_exponent(field.sigma(labels[k])) for k in idx}
     M = field.working_conductor
+    step = M // field.galois.conductor
+    root = CyclotomicNumber.root_of_unity
+    pairing_values = {k: root(M, step * labels[k]) - root(M, -step * labels[k]) for k in idx}
     one = CyclotomicNumber.one(M)
     i_unit = CyclotomicNumber.i_unit(M)
-    q0 = CyclotomicNumber.root_of_unity(M, M // m) - CyclotomicNumber.root_of_unity(
-        M, M - M // m
-    )
     # d_k = i eps_k sigma_k(q0^-1): the automorphisms commute with inversion
-    # and fix i, so one inverse serves every k, and 1 / (i eps_k) = -i eps_k
-    q0_inverse = q0.inverse()
+    # and fix i, so one inverse serves every k; q0 = P_1, as l(1) = 1
+    q0_inverse = pairing_values[1].inverse()
     d = {}
     dinv = {}
-    for k, lift in lifts.items():
+    for k in range(1, field.n + 1):
         unit = i_unit * field.epsilons[k]
-        d[k] = q0_inverse.galois(lift) * unit
-        dinv[k] = q0.galois(lift) * -unit
-        d[-k] = one
-        dinv[-k] = one
-    field.gauge_units = (d, dinv)
-    return d, dinv
+        d[k] = q0_inverse.galois(lifts[k]) * unit
+        dinv[k] = pairing_values[k] * -unit
+        d[-k] = dinv[-k] = one
+    field.gauge_units = (d, dinv, pairing_values, lifts)
+    return field.gauge_units
 
 
 def _root_image(field, perm, exp, table, ij):
@@ -266,7 +268,7 @@ def _root_image(field, perm, exp, table, ij):
     index factors per group element, not the factors of all 2n indices.
     """
     roots, factor, cofactor = table
-    d, dinv = _gauge_units(field)
+    d, dinv, _, _ = _gauge_units(field)
     i, j = ij
     ii = field.act_index(perm, i)
     jj = field.act_index(perm, j)
@@ -434,7 +436,7 @@ def _fixed_form(v):
     zeta_m^y (y < m) reduce to the power basis modulo Phi_m.
     """
     field = v.field
-    d, dinv = _gauge_units(field)
+    d, dinv, _, _ = _gauge_units(field)
     m = field.galois.conductor
     M = field.working_conductor
     size = 2 * field.n

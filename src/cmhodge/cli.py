@@ -288,21 +288,20 @@ def _cmd_grading(args):
 
 def _cmd_nondeg(args):
     field = _load_oriented(args)
-    return _envelope("nondeg", nondegeneracy_verdict(field).to_json())
+    return _envelope("nondeg", nondegeneracy_verdict(field))
 
 
 def _cmd_partition(args):
     element = element_from_json(_read_json_file(args.element))
     field = element.field
     graph, partition = support_graph(element)
-    verdict = is_block_system(field, partition)
     return _envelope(
         "partition",
         {
             "rational": is_rational(field, element),
-            "support_graph": graph.to_json(),
-            "partition": partition.to_json(),
-            "block_verdict": verdict.to_json(),
+            "support_graph": graph,
+            "partition": partition,
+            "block_verdict": is_block_system(field, partition),
         },
     )
 

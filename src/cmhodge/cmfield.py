@@ -348,7 +348,13 @@ class Orientation:
         }
 
     @classmethod
-    def from_json(cls, obj, labels=None):
+    def from_json(cls, obj, labels):
+        """Read an orientation whose assignment keys are the ``str`` forms of ``labels``.
+
+        A key that names no label stays the string it is, so it fails
+        ``validate_orientation``'s label check; no other spelling of a label
+        (``"07"`` for 7) is read as that label.
+        """
         if not isinstance(obj, dict) or "assignment" not in obj:
             raise UsageError("orientation JSON needs an 'assignment' object")
         if "weight" not in obj:
@@ -359,17 +365,10 @@ class Orientation:
                 "orientation 'assignment' must map labels to [p, q] pairs",
                 reason="bad-orientation",
             )
-        key_map = {}
-        if labels is not None:
-            key_map = {str(lab): lab for lab in labels}
+        key_map = {str(lab): lab for lab in labels}
         assignment = {}
         for key, pq in raw.items():
-            lab = key_map.get(key)
-            if lab is None:
-                try:
-                    lab = int(key)
-                except ValueError:
-                    lab = key
+            lab = key_map.get(key, key)
             if not isinstance(pq, (list, tuple)) or len(pq) != 2:
                 raise UsageError(f"assignment for {key!r} must be a [p, q] pair")
             if not all(type(x) is int for x in pq):

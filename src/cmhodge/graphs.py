@@ -6,48 +6,14 @@ pair carrying a nonzero coefficient.  Diagonal coefficients contribute
 self-loops, which are recorded but never affect connectivity.  For a
 rational element the connected components form a block system for the
 Galois action; that is the checkable heart of the imprimitivity story.
+Graphs, partitions and verdicts are the JSON documents the CLI prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import is_rational, rational_nilpotency_degree
 from .cmfield import basis_pos
 from .errors import PreconditionError, TheoremViolationError, UsageError
-
-
-@dataclass(frozen=True)
-class SupportGraph:
-    vertices: tuple
-    edges: tuple  # (a, b) pairs in basis order; loops appear as (a, a)
-
-    def to_json(self):
-        return {
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
-        }
-
-
-@dataclass(frozen=True)
-class Partition:
-    blocks: tuple  # tuples of signed indices, each sorted, blocks by first member
-
-    def to_json(self):
-        return {"blocks": [list(b) for b in self.blocks]}
-
-    @property
-    def block_sizes(self):
-        return tuple(len(b) for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class BlockVerdict:
-    is_block_system: bool
-    witness: dict | None
-
-    def to_json(self):
-        return {"is_block_system": self.is_block_system, "witness": self.witness}
 
 
 def _edge(n, a, b):
@@ -75,9 +41,9 @@ def _components(n, vertices, edges):
     for v in vertices:
         groups.setdefault(find(v), []).append(v)
     key = lambda k: basis_pos(n, k)
-    blocks = [tuple(sorted(g, key=key)) for g in groups.values()]
+    blocks = [sorted(g, key=key) for g in groups.values()]
     blocks.sort(key=lambda b: key(b[0]))
-    return Partition(tuple(blocks))
+    return {"blocks": blocks}
 
 
 def _support_edges(v):
@@ -99,22 +65,31 @@ def _sorted_edges(n, edges):
 
 
 def support_graph(v):
-    """Support graph and its component partition for one element."""
+    """Support graph and its component partition for one element, as JSON documents.
+
+    The graph is ``{"vertices": [...], "edges": [[a, b], ...]}``, edges in
+    basis order and loops as ``[a, a]``; the partition is
+    ``{"blocks": [[...], ...]}``, each block sorted and the blocks ordered by
+    their first members.
+    """
     n = v.field.n
     vertices = v.field.signed_indices()
     edges = _support_edges(v)
-    graph = SupportGraph(vertices, _sorted_edges(n, edges))
+    graph = {"vertices": list(vertices), "edges": [list(e) for e in _sorted_edges(n, edges)]}
     return graph, _components(n, vertices, edges)
 
 
 def is_block_system(field, partition):
     """Check that every element of ``group_generators`` maps every block onto a block.
 
-    The first failure, in generator-then-block order, is returned as the
-    witness: the offending generator (as a label image list), the block,
-    and its image set.
+    ``partition`` is a ``{"blocks": [...]}`` document, as ``support_graph``
+    returns.  The result is ``{"is_block_system": ..., "witness": ...}``;
+    the witness is the first failure, in generator-then-block order: the
+    offending generator (as a label image list), the block, and its image
+    set, or None.
     """
-    block_sets = [frozenset(b) for b in partition.blocks]
+    blocks = partition["blocks"]
+    block_sets = [frozenset(b) for b in blocks]
     universe = set()
     for b in block_sets:
         if universe & b:
@@ -125,19 +100,13 @@ def is_block_system(field, partition):
     have = set(block_sets)
     n = field.n
     for g in field.galois.group_generators:
-        for b, bset in zip(partition.blocks, block_sets):
+        for b, bset in zip(blocks, block_sets):
             image = frozenset(field.act_index(g, x) for x in bset)
             if image not in have:
                 key = lambda k: basis_pos(n, k)
-                return BlockVerdict(
-                    False,
-                    {
-                        "generator": list(g),
-                        "block": list(b),
-                        "image": sorted(image, key=key),
-                    },
-                )
-    return BlockVerdict(True, None)
+                witness = {"generator": list(g), "block": list(b), "image": sorted(image, key=key)}
+                return {"is_block_system": False, "witness": witness}
+    return {"is_block_system": True, "witness": None}
 
 
 def _degree_and_partition(field, v, caller):
@@ -153,7 +122,7 @@ def _degree_and_partition(field, v, caller):
         raise PreconditionError(f"{caller} needs a rational element", reason="element-not-rational")
     degree = rational_nilpotency_degree(v)  # raises when not nilpotent
     _, partition = support_graph(v)
-    if degree > field.n and len(partition.blocks) != 1:
+    if degree > field.n and len(partition["blocks"]) != 1:
         raise TheoremViolationError(
             f"degree {degree} > n = {field.n} but the support partition is not trivial"
         )
@@ -169,7 +138,8 @@ def trivial_partition_check(v):
     """
     field = v.field
     degree, partition = _degree_and_partition(field, v, "trivial_partition_check")
-    max_component = max(partition.block_sizes)
+    blocks = partition["blocks"]
+    max_component = max(map(len, blocks))
     if degree > max_component:
         raise TheoremViolationError(
             f"nilpotency degree {degree} exceeds the largest component size {max_component}"
@@ -177,7 +147,7 @@ def trivial_partition_check(v):
     return {
         "nilpotency_degree": degree,
         "max_component_size": max_component,
-        "partition_trivial": len(partition.blocks) == 1,
+        "partition_trivial": len(blocks) == 1,
         "degree_exceeds_n": degree > field.n,
-        "partition": partition.to_json(),
+        "partition": partition,
     }

@@ -136,14 +136,6 @@ class Poly:
         p = c.numerator
         return Poly._make([x * p for x in self.num], self.den * c.denominator)
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.num[-1]
-        if lead < 0:
-            return Poly._make([-x for x in self.num], -lead)
-        return Poly._make(self.num, lead)
-
     def divmod(self, other):
         """Quotient and remainder of exact long division.
 

@@ -6,7 +6,7 @@ computed by a polynomial gcd otherwise; explicit elimination is the
 independent route the battery checks them against.  Orbit ranks over the
 full Galois group decide nondegeneracy of an oriented field, and the
 escape and rigidity verdicts wire the algebraic layer to the
-combinatorial one.
+combinatorial one; each verdict is the JSON document the CLI prints.
 A TheoremViolationError from any function here means a proved statement
 failed on concrete data, which is release blocking by design.
 """
@@ -146,7 +146,7 @@ def _orbit_rows(field):
     """
     galois, pairs = field.galois, range(1, field.n + 1)
     return [
-        tuple(field.grading_value(field.act_index(inv, k)) for k in pairs)
+        [field.grading_value(field.act_index(inv, k)) for k in pairs]
         for inv in map(galois.inverse, galois.enumerate_group())
     ]
 
@@ -158,43 +158,14 @@ def orbit_rank(field):
 
 VERDICT_NONDEGENERATE = "nondegenerate"
 VERDICT_DEGENERATE = "degenerate_under_span_assumption"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class RankReport:
-    orbit_rank: int
-    cartan_bound: int
-    verdict: str
-    circulant_rank: int | None
-    dichotomy_branch: str | None
-    circulant_entries: tuple | None
-    orbit_vectors: tuple
-    grading: tuple
-
-    def to_json(self):
-        return {
-            "orbit_rank": self.orbit_rank,
-            "cartan_bound": self.cartan_bound,
-            "verdict": self.verdict,
-            "circulant_rank": self.circulant_rank,
-            "dichotomy_branch": self.dichotomy_branch,
-            "circulant_entries": (
-                list(self.circulant_entries)
-                if self.circulant_entries is not None
-                else None
-            ),
-            "orbit_vectors": [list(v) for v in self.orbit_vectors],
-            "grading": list(self.grading),
-        }
-
-
-def _transitive_sign_free_element(field):
-    """First group element of order n that cycles the pairs without sign flips.
+def _transitive_sign_free_cycle(field):
+    """The cycle, from pair 1, of the first group element cycling all n pairs with no sign flip.
 
     Only searched when n is an odd prime, the lengths a circulant spec
-    accepts; returns (perm, cycle of pair indices) or None.  Sign mixing (a
-    positive index mapping to a negative one) defeats the plain circulant
+    accepts; returns the cycle of pair indices from 1, or None.  Sign mixing
+    (a positive index mapping to a negative one) defeats the plain circulant
     picture, so such elements are skipped.
     """
     n = field.n
@@ -205,41 +176,39 @@ def _transitive_sign_free_element(field):
             continue
         cycle = list(_reached(1, lambda k: (field.act_index(g, k),)))
         if len(cycle) == n:
-            return g, cycle
+            return cycle
     return None
 
 
 def nondegeneracy_verdict(field):
-    """Rank report for an oriented field: orbit rank vs the Cartan bound.
+    """Orbit rank vs the Cartan bound, as the JSON document ``nondeg`` prints.
 
-    When n is an odd prime and some group element cycles the conjugate pairs
-    without sign mixing, the circulant route is also reported and its
-    dichotomy is enforced; otherwise the orbit rank alone decides.
+    ``orbit_vectors`` lists the Galois orbit of the grading in group order,
+    so ``grading`` is its first row.  When n is an odd prime and some group
+    element cycles the conjugate pairs without sign mixing, the circulant
+    route is also reported and its dichotomy is enforced; otherwise the
+    circulant keys are None and the orbit rank alone decides.
     """
     rows = _orbit_rows(field)
     rank = rank_rational(rows)
     n = field.n
-    circ_rank = None
-    branch = None
-    circ_entries = None
-    found = _transitive_sign_free_element(field)
-    if found is not None:
-        _, cycle = found
-        circ_entries = tuple(field.grading_value(k) for k in cycle)
+    circ_rank = branch = circ_entries = None
+    cycle = _transitive_sign_free_cycle(field)
+    if cycle is not None:
+        circ_entries = [field.grading_value(k) for k in cycle]
         spec = CirculantSpec(circ_entries)
         circ_rank = circulant_rank(spec)
         branch = ribet_dichotomy(spec)
-    verdict = VERDICT_NONDEGENERATE if rank == n else VERDICT_DEGENERATE
-    return RankReport(
-        orbit_rank=rank,
-        cartan_bound=n,
-        verdict=verdict,
-        circulant_rank=circ_rank,
-        dichotomy_branch=branch,
-        circulant_entries=circ_entries,
-        orbit_vectors=tuple(rows),
-        grading=rows[0],
-    )
+    return {
+        "orbit_rank": rank,
+        "cartan_bound": n,
+        "verdict": VERDICT_NONDEGENERATE if rank == n else VERDICT_DEGENERATE,
+        "circulant_rank": circ_rank,
+        "dichotomy_branch": branch,
+        "circulant_entries": circ_entries,
+        "orbit_vectors": rows,
+        "grading": rows[0],
+    }
 
 
 def escape_verdict(field, nilpotent):
@@ -251,10 +220,10 @@ def escape_verdict(field, nilpotent):
     with the element must reach the ambient dimension n(2n+1).
     """
     report = nondegeneracy_verdict(field)
-    if report.verdict != VERDICT_NONDEGENERATE:
+    if report["verdict"] != VERDICT_NONDEGENERATE:
         raise PreconditionError(
             "escape_verdict needs a nondegenerate field "
-            f"(orbit rank {report.orbit_rank} < {report.cartan_bound})",
+            f"(orbit rank {report['orbit_rank']} < {report['cartan_bound']})",
             reason="field-not-nondegenerate",
         )
     degree, partition = _degree_and_partition(field, nilpotent, "escape_verdict")
@@ -264,11 +233,11 @@ def escape_verdict(field, nilpotent):
         "nilpotency_degree": degree,
         "cartan_bound": n,
         "applicable": degree > n,
-        "partition_trivial": len(partition.blocks) == 1,
-        "partition": partition.to_json(),
+        "partition_trivial": len(partition["blocks"]) == 1,
+        "partition": partition,
         "ambient_dimension": ambient,
         "closure_dimension": None,
-        "nondegeneracy": report.to_json(),
+        "nondegeneracy": report,
     }
     if degree > n:
         dim, _ = generated_subalgebra(cartan_elements(field) + [nilpotent])
@@ -352,11 +321,10 @@ def rigidity_verdict(field):
         if admissible and has_nonzero:
             if cyclotomic:
                 avg = reynolds_average(field, root_vector(field, *orbit[0]))
-                graph, _ = support_graph(avg)
-                realized = {tuple(e) for e in graph.edges}
+                edges = support_graph(avg)[0]["edges"]
                 entry["witness_nonzero"] = not avg.is_zero()
-                entry["witness_support_edges"] = [list(e) for e in graph.edges]
-                entry["witness_cancellation"] = realized != set(orbit)
+                entry["witness_support_edges"] = edges
+                entry["witness_cancellation"] = {tuple(e) for e in edges} != set(orbit)
             offending.append(entry)
         orbits_report.append(entry)
     rigid = not offending

@@ -55,7 +55,7 @@ def reference_galois_act(field, perm, v):
     its canonical root by X_{-j,-i} = ratio(i, j) X_{i,j}.
     """
     exp = field.coeff_exponent(perm)
-    d, dinv = _gauge_units(field)
+    d, dinv, _, _ = _gauge_units(field)
     factor = {}
     cofactor = {}
     for k in field.signed_indices():

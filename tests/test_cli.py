@@ -376,6 +376,17 @@ def test_malformed_orientation_is_usage_error(capsys, orientation, reason):
     assert doc["error"]["reason"] == reason
 
 
+@pytest.mark.parametrize("alias", ["07", " 7", "+7"], ids=["zero-padded", "space-padded", "plus-signed"])
+def test_an_alias_of_a_label_is_not_that_label(capsys, alias):
+    # read as label 7, the alias would override its [1, 0] and make the orientation valid
+    assignment = {"1": [1, 0], "3": [1, 0], "5": [0, 1], "7": [1, 0], alias: [0, 1]}
+    orientation = json.dumps({"weight": 1, "assignment": assignment})
+    code, doc = run_cli(capsys, "nondeg", "--conductor", "8", "--orientation", orientation)
+    assert code == 3
+    assert doc["error"]["reason"] == "invalid-orientation"
+    assert doc["error"]["message"].startswith("assignment labels do not match")
+
+
 def test_orientation_file_that_is_not_an_object(capsys, tmp_path):
     path = tmp_path / "five.json"
     path.write_text("5")
@@ -466,6 +477,8 @@ def test_partition_of_witness(capsys, witness_file):
         ("coeff-bool", "usage-error"),
         # a term index is an int, not a boolean
         ("index-bool", "usage-error"),
+        # a second term at the same (i, j), here a zero copy of the first, would replace it
+        ("repeated-term", "bad-element"),
     ],
 )
 def test_malformed_element_is_usage_error(capsys, tmp_path, witness_file, command, defect, reason):
@@ -478,6 +491,10 @@ def test_malformed_element_is_usage_error(capsys, tmp_path, witness_file, comman
         doc["terms"] = 5
     elif defect == "coeffs-not-a-list":
         doc["terms"][0]["coeff"]["coeffs"] = 5
+    elif defect == "repeated-term":
+        first = doc["terms"][0]
+        zero = dict(first["coeff"], coeffs=["0/1"] * len(first["coeff"]["coeffs"]))
+        doc["terms"].append(dict(first, coeff=zero))
     elif defect == "index-bool":
         assert doc["terms"][0]["i"] == 1  # so True would read as the same index
         doc["terms"][0]["i"] = True

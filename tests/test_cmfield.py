@@ -469,11 +469,11 @@ def test_sigma_three_index_action(oriented7):
 
 def test_grading_vector_and_sigma_three_action(oriented7):
     rows = _orbit_rows(oriented7)
-    assert rows[0] == (3, 1, 1)
+    assert rows[0] == [3, 1, 1]
     assert oriented7.grading_value(-1) == -3
     group = oriented7.galois.enumerate_group()
     # (sigma_3 . v)(k) = v(sigma_3^{-1} k) = v(sigma_5 k)
-    assert rows[group.index(oriented7.sigma(3))] == (-1, 1, 3)
+    assert rows[group.index(oriented7.sigma(3))] == [-1, 1, 3]
 
 
 def test_coefficient_exponents_are_unit_lifts(oriented7):

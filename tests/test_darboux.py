@@ -69,7 +69,7 @@ def _fraction_rows(idx, i_unit, vectors):
 
 def _gauge_pairing_values(field):
     """Pairing values on the coordinate vectors in the equivariant gauge, from its units."""
-    _, dinv = _gauge_units(field)
+    _, dinv, _, _ = _gauge_units(field)
     i_unit = CyclotomicNumber.i_unit(field.working_conductor)
     out = {}
     for k in range(1, field.n + 1):
@@ -127,7 +127,7 @@ def _reference_pairs(field, averages):
             zu = _pairing(field, pairing_values, z, u)
             reduced.append({a: z[a] - zv * u[a] + zu * v[a] for a in idx})
         pool = reduced
-    return tuple(pairs), pairing_values
+    return tuple(pairs)
 
 
 def _full_rank_two_entries(field, pairing_values, s, t):
@@ -143,7 +143,8 @@ def _full_rank_two_entries(field, pairing_values, s, t):
 
 def _reference_examples(field):
     """Reference: the six named nilpotents as full gauge matrices, read back with the membership check."""
-    pairs, pairing_values = _fixed_symplectic_pairs(field)
+    pairs = _fixed_symplectic_pairs(field)
+    d, dinv, pairing_values, _ = _gauge_units(field)
 
     def rank_two(s, t):
         return _full_rank_two_entries(field, pairing_values, s, t)
@@ -164,7 +165,6 @@ def _reference_examples(field):
         ("half-chain", open_chain),
         ("full-chain", full_chain),
     ]
-    d, dinv = _gauge_units(field)
     return [
         (name, reference_from_entries(field, {(a, b): dinv[a] * val * d[b] for (a, b), val in entries.items()}))
         for name, entries in matrices
@@ -181,7 +181,8 @@ def test_witness_equals_the_full_matrix_assembly(m, hodge):
 
 
 def test_pairs_form_a_darboux_basis(oriented):
-    pairs, pairing_values = _fixed_symplectic_pairs(oriented)
+    pairs = _fixed_symplectic_pairs(oriented)
+    _, _, pairing_values, _ = _gauge_units(oriented)
     assert len(pairs) == oriented.n
     for a, (ua, va) in enumerate(pairs):
         for b, (ub, vb) in enumerate(pairs):
@@ -206,8 +207,7 @@ def test_pairs_equal_the_averaging_oracle(m, hodge):
     field = first_oriented(m, 3, hodge)
     averages = _averaged_fixed_vectors(field)
     assert fixed_vectors(field) == averages
-    expected = _reference_pairs(field, averages)
-    assert _fixed_symplectic_pairs(field) == expected
+    assert _fixed_symplectic_pairs(field) == _reference_pairs(field, averages)
 
 
 def test_fixed_vectors_are_fixed_by_the_generators_and_conjugation(oriented):
@@ -226,7 +226,7 @@ def test_gram_matrix_is_the_pairing_of_the_fixed_vectors(oriented):
 
 
 def test_closed_form_pairing_values_match_the_gauge(oriented):
-    _, pairing_values = _fixed_symplectic_pairs(oriented)
+    _, _, pairing_values, _ = _gauge_units(oriented)
     assert pairing_values == _gauge_pairing_values(oriented)
 
 
@@ -294,7 +294,7 @@ def test_gauge_units_equal_one_inverse_per_index(m, hodge):
     step = M // m
     q0 = CyclotomicNumber.root_of_unity(M, step) - CyclotomicNumber.root_of_unity(M, -step)
     i_unit = CyclotomicNumber.i_unit(M)
-    d, dinv = _gauge_units(field)
+    d, dinv, _, _ = _gauge_units(field)
     one = CyclotomicNumber.one(M)
     for k in range(1, field.n + 1):
         lift = field.coeff_exponent(field.sigma(field.index_to_label[k]))

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -15,12 +16,15 @@ from cmhodge import (
     circulant_rank,
     enumerate_orientations,
     escape_verdict,
+    is_block_system,
     nondegeneracy_verdict,
     orbit_rank,
     reynolds_average,
     ribet_dichotomy,
     rigidity_verdict,
     root_vector,
+    support_graph,
+    trivial_partition_check,
     validate_orientation,
 )
 from cmhodge import acceptance, verifiers
@@ -174,16 +178,14 @@ def test_orbit_rank_desk_values(oriented7):
 
 def test_nondegeneracy_report_balanced(oriented7):
     report = nondegeneracy_verdict(oriented7)
-    assert report.verdict == "nondegenerate"
-    assert report.orbit_rank == 3 and report.cartan_bound == 3
-    assert report.grading == (3, 1, 1)
+    assert report["verdict"] == "nondegenerate"
+    assert report["orbit_rank"] == 3 and report["cartan_bound"] == 3
+    assert report["grading"] == [3, 1, 1]
     # every group element mixes signs at conductor 7, so no circulant route
-    assert report.circulant_rank is None
-    assert report.dichotomy_branch is None
-    assert report.circulant_entries is None
-    assert len(report.orbit_vectors) == 6
-    js = report.to_json()
-    assert js["verdict"] == "nondegenerate" and js["circulant_entries"] is None
+    assert report["circulant_rank"] is None
+    assert report["dichotomy_branch"] is None
+    assert report["circulant_entries"] is None
+    assert len(report["orbit_vectors"]) == 6
 
 
 @pytest.mark.parametrize(
@@ -199,17 +201,17 @@ def test_nondegeneracy_report_balanced(oriented7):
 def test_orbit_vectors_come_in_group_order(m, hodge, vectors):
     # row i is the grading pulled back along enumerate_group()[i]; the identity's comes first
     report = nondegeneracy_verdict(first_oriented(m, 3, hodge))
-    assert report.orbit_vectors == vectors
-    assert report.grading == vectors[0]
+    assert report["orbit_vectors"] == [list(v) for v in vectors]
+    assert report["grading"] == list(vectors[0])
 
 
 def test_orbit_vectors_come_in_group_order_on_the_abstract_field():
     field = validate_orientation(abstract_z6(), Orientation(3, BALANCED_ABSTRACT))
     report = nondegeneracy_verdict(field)
-    assert report.orbit_vectors == (
-        (3, 1, 1), (1, 3, 1), (-3, -1, -1), (1, 1, 3), (-1, -3, -1), (-1, -1, -3),
-    )
-    assert report.grading == (3, 1, 1)
+    assert report["orbit_vectors"] == [
+        [3, 1, 1], [1, 3, 1], [-3, -1, -1], [1, 1, 3], [-1, -3, -1], [-1, -1, -3],
+    ]
+    assert report["grading"] == [3, 1, 1]
 
 
 def test_nondegeneracy_report_quadratic_residue_pattern():
@@ -220,27 +222,62 @@ def test_nondegeneracy_report_quadratic_residue_pattern():
         if pos == {1, 2, 4}:
             found = validate_orientation(galois, o)
     report = nondegeneracy_verdict(found)
-    assert report.verdict == "degenerate_under_span_assumption"
-    assert report.orbit_rank == 1
-    assert report.grading == (3, 3, -3)
+    assert report["verdict"] == "degenerate_under_span_assumption"
+    assert report["orbit_rank"] == 1
+    assert report["grading"] == [3, 3, -3]
 
 
 def test_abstract_field_takes_the_circulant_route():
     galois = abstract_z6()
     balanced = validate_orientation(galois, Orientation(3, BALANCED_ABSTRACT))
     report = nondegeneracy_verdict(balanced)
-    assert report.circulant_entries == (3, 1, 1)
-    assert report.circulant_rank == 3
-    assert report.dichotomy_branch == "rank_p"
-    assert report.verdict == "nondegenerate"
+    assert report["circulant_entries"] == [3, 1, 1]
+    assert report["circulant_rank"] == 3
+    assert report["dichotomy_branch"] == "rank_p"
+    assert report["verdict"] == "nondegenerate"
 
     extreme = validate_orientation(galois, Orientation(3, EXTREME_ABSTRACT))
     report = nondegeneracy_verdict(extreme)
-    assert report.circulant_entries == (3, 3, 3)
-    assert report.circulant_rank == 1
-    assert report.dichotomy_branch == "all_equal"
-    assert report.verdict == "degenerate_under_span_assumption"
-    assert report.orbit_rank == 1
+    assert report["circulant_entries"] == [3, 3, 3]
+    assert report["circulant_rank"] == 1
+    assert report["dichotomy_branch"] == "all_equal"
+    assert report["verdict"] == "degenerate_under_span_assumption"
+    assert report["orbit_rank"] == 1
+
+
+def _json_round_trip(result):
+    return json.loads(json.dumps(result))
+
+
+@pytest.mark.parametrize("m,hodge", [(7, (1, 2, 2, 1)), (11, (2, 3, 3, 2)), (16, (1, 3, 3, 1))], ids=["m7", "m11", "m16"])
+def test_results_equal_their_json_round_trip(m, hodge):
+    # each verdict is the document the CLI prints: no tuples, no int keys, no objects
+    field = first_oriented(m, 3, hodge)
+    witness = rational_nilpotent_witness(field)
+    average = reynolds_average(field, root_vector(field, 1, 2))
+    results = [
+        nondegeneracy_verdict(field),
+        escape_verdict(field, witness),
+        rigidity_verdict(field),
+        trivial_partition_check(witness),
+    ]
+    for v in (witness, average):
+        graph, partition = support_graph(v)
+        results += [graph, partition, is_block_system(field, partition)]
+    # a partition that is not a block system, so the verdict carries a witness
+    lopsided = {"blocks": [[1], [k for k in field.signed_indices() if k != 1]]}
+    results.append(is_block_system(field, lopsided))
+    assert results[-1]["witness"] is not None
+    for result in results:
+        assert _json_round_trip(result) == result
+
+
+def test_abstract_results_equal_their_json_round_trip():
+    field = validate_orientation(abstract_z6(), Orientation(3, BALANCED_ABSTRACT))
+    report = nondegeneracy_verdict(field)
+    assert report["circulant_entries"] is not None
+    for result in (report, rigidity_verdict(field)):
+        assert _json_round_trip(result) == result
 
 
 def test_escape_requires_nondegenerate_field():
