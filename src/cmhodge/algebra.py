@@ -198,6 +198,7 @@ def element_from_json(obj):
     if not isinstance(obj["terms"], list):
         raise UsageError("element JSON 'terms' must be a list", reason="bad-element")
     field = oriented_from_json(obj["field"])
+    M = field.working_conductor
     coeffs = {}
     for term in obj["terms"]:
         if not isinstance(term, dict) or not {"i", "j", "coeff"} <= term.keys():
@@ -205,9 +206,19 @@ def element_from_json(obj):
                 f"element term {term!r} needs 'i', 'j' and 'coeff'", reason="bad-element"
             )
         ij = (term["i"], term["j"])
+        if type(ij[0]) is not int or type(ij[1]) is not int:
+            raise UsageError(f"element term index {ij!r} is not a pair of ints", reason="bad-element")
         if ij in coeffs:
             raise UsageError(f"element term {ij!r} is repeated", reason="bad-element")
-        coeffs[ij] = CyclotomicNumber.from_json(term["coeff"])
+        # before the coefficient is parsed: its arithmetic context costs more
+        # than quadratic time in the conductor, so a foreign one is never built
+        coeff = term["coeff"]
+        conductor = coeff.get("conductor") if isinstance(coeff, dict) else None
+        if isinstance(conductor, int) and conductor >= 1 and conductor != M:
+            raise ConductorMismatchError(
+                f"coefficient conductor {conductor} does not match the field's {M}"
+            )
+        coeffs[ij] = CyclotomicNumber.from_json(coeff)
     return element_from_coeffs(field, coeffs)
 
 
@@ -345,7 +356,13 @@ def reynolds_average(field, v):
 
 
 def bracket(u, v):
-    """The commutator [u, v], from the structure constants of the X basis.
+    """The commutator [u, v], from the structure constants of the X basis (``_bracket_coeffs``)."""
+    u._check_compatible(v)
+    return AlgebraElement(u.field, _bracket_coeffs(u.field, u.coeffs, v.coeffs), _raw=True)
+
+
+def _bracket_coeffs(field, ucoeffs, vcoeffs):
+    """The coefficients of [u, v] from those of u and v, canonically indexed.
 
     For any signed indices (the classical algebra C_n in its matrix-unit
     basis; Humphreys, *Introduction to Lie Algebras and Representation
@@ -355,25 +372,43 @@ def bracket(u, v):
                        + [d = -b] ratio(c, d) X_{a,-c} + [c = -a] ratio(a, b) X_{-b,d},
 
     so a term X_ab of u meets only the terms of v whose first index is b or
-    -a, or whose second index is a or -b.
+    -a, or whose second index is a or -b.  The structure constants are the
+    integers 0 and +-1, so the same sums serve coefficients in Q(zeta_M)
+    (``bracket``) and residues mod p (``generated_subalgebra``), which the
+    caller reduces.
     """
-    u._check_compatible(v)
-    field = u.field
+    fold = _fold_signs(field)
     by_first, by_second = {}, {}
-    for (c, d), y in v.coeffs.items():
+    for (c, d), y in vcoeffs.items():
         by_first.setdefault(c, []).append((d, y))
         by_second.setdefault(d, []).append((c, y))
     out = {}
-    for (a, b), x in u.coeffs.items():
+    for (a, b), x in ucoeffs.items():
         for d, y in by_first.get(b, ()):
-            _accumulate(out, *_fold(field, a, d, x * y))
+            ij, s = fold[a, d]
+            _accumulate(out, ij, x * y if s > 0 else -(x * y))
         for c, y in by_second.get(a, ()):
-            _accumulate(out, *_fold(field, c, b, -(x * y)))
+            ij, s = fold[c, b]
+            _accumulate(out, ij, -(x * y) if s > 0 else x * y)
         for c, y in by_second.get(-b, ()):
-            _accumulate(out, *_fold(field, a, -c, x * y * _ratio(field, c, -b)))
+            ij, s = fold[a, -c]
+            _accumulate(out, ij, x * y if s * _ratio(field, c, -b) > 0 else -(x * y))
         for d, y in by_first.get(-a, ()):
-            _accumulate(out, *_fold(field, -b, d, x * y * _ratio(field, a, b)))
-    return AlgebraElement(field, out, _raw=True)
+            ij, s = fold[-b, d]
+            _accumulate(out, ij, x * y if s * _ratio(field, a, b) > 0 else -(x * y))
+    return out
+
+
+def _fold_signs(field):
+    """``_fold`` of the unit coefficient at every (i, j): {(i, j): (canonical index, +-1)}.
+
+    Built once per field, on its first bracket, and kept in ``field._fold_signs``.
+    """
+    table = field._fold_signs
+    if table is None:
+        idx = field.signed_indices()
+        table = field._fold_signs = {(i, j): _fold(field, i, j, 1) for i in idx for j in idx}
+    return table
 
 
 def rational_nilpotency_degree(v):
@@ -491,23 +526,27 @@ def generated_subalgebra(seeds):
     the newly added elements against the whole current basis, extending the
     span, until nothing new appears or the ambient dimension n(2n+1) is hit.
 
-    Brackets are exact; independence is first decided modulo a prime p that
-    splits completely in Q(zeta_M) (``linalg.ModularSpan``), and the answer
-    of that pass is kept only when it reaches n(2n+1).  Why that is exact:
-    zeta -> omega is a ring map from the p-integral elements of Q(zeta_M)
-    onto F_p, so the rank mod p of p-integral vectors is at most their rank
-    over Q(zeta_M).  Every element the modular pass accepts is an exact
-    bracket inside the generated algebra A, and the images of the accepted
-    elements are independent mod p, so the elements are independent over
-    Q(zeta_M).  n(2n+1) of them therefore prove dim A = n(2n+1) and form a
-    true basis of A.  Below that a modular reject may be a false dependence,
-    so the closure is run again with the exact ``SpanBasis``, as it is when
-    p divides some coordinate's denominator.  Both passes accept the same
-    brackets, and so return the same basis, unless p turns an independent
-    bracket into a false reject.  The argument holds for any completely
-    split p; ``split_prime`` takes a word-size one so that the pass does
-    single-digit arithmetic, and its size only sets how often the exact
-    pass reruns.
+    The sweep runs first on residues modulo a prime p that splits completely
+    in Q(zeta_M) (``linalg.ModularSpan``), and its answer is kept only when
+    it reaches n(2n+1).  Why that is exact: zeta -> omega is a ring map from
+    the p-integral elements of Q(zeta_M) onto F_p, so the rank mod p of
+    p-integral vectors is at most their rank over Q(zeta_M).  The structure
+    constants are integers, so reduction mod p commutes with the bracket:
+    each seed is mapped to F_p once, and a residue bracket of images is the
+    image of the exact bracket.  Every element the modular pass accepts is
+    recorded as a word, a seed or the bracket of two earlier basis elements;
+    it names an exact element of the generated algebra A whose image is that
+    residue vector, and the accepted images are independent mod p, so those
+    elements are independent over Q(zeta_M).  n(2n+1) of them therefore
+    prove dim A = n(2n+1) and form a true basis of A, and only their words
+    are computed exactly, with ``bracket``.  Below that a modular reject may
+    be a false dependence, so the closure is run again with the exact
+    ``SpanBasis``, as it is when p divides some coordinate's denominator.
+    Both passes accept the same brackets, and so return the same basis,
+    unless p turns an independent bracket into a false reject.  The argument
+    holds for any completely split p; ``split_prime`` takes a word-size one
+    so that the pass does single-digit arithmetic, and its size only sets
+    how often the exact pass reruns.
     """
     seeds = list(seeds)
     if not seeds:
@@ -516,39 +555,93 @@ def generated_subalgebra(seeds):
         seeds[0]._check_compatible(s)
     field = seeds[0].field
     n = field.n
+    ambient = n * (2 * n + 1)
     try:
-        dim, basis = _closure(seeds, ModularSpan(field.working_conductor))
+        words = _residue_words(seeds, ModularSpan(field.working_conductor))
     except UnluckyPrimeError:
-        dim = None
-    if dim == n * (2 * n + 1):
-        return dim, basis
-    return _closure(seeds, SpanBasis())
+        words = ()
+    if len(words) < ambient:
+        return _closure(seeds, SpanBasis())
+    basis = []
+    for word in words:
+        basis.append(seeds[word] if type(word) is int else bracket(basis[word[0]], basis[word[1]]))
+    return ambient, tuple(basis)
+
+
+def _residue_words(seeds, span):
+    """The words of the basis that the sweep accepts on residues mod ``span.prime``."""
+    field = seeds[0].field
+    n = field.n
+    p = span.prime
+    coord_of = _coordinates(n)
+
+    def insert(z):
+        return bool(z) and span.insert({coord_of[ij]: y for ij, y in z.items()})
+
+    def product(x, y):
+        return _residue_bracket(field, p, x, y)
+
+    return _sweep([_residues(span, s) for s in seeds], product, insert, n * (2 * n + 1))[1]
+
+
+def _residues(span, v):
+    """The image of v mod ``span.prime``: its nonzero coefficient residues by canonical index."""
+    out = {}
+    for ij, c in v.coeffs.items():
+        y = span._image(c)
+        if y:
+            out[ij] = y
+    return out
+
+
+def _residue_bracket(field, p, x, y):
+    """The bracket of two images mod p, which is the image of the bracket of any preimages."""
+    return {ij: r for ij, c in _bracket_coeffs(field, x, y).items() if (r := c % p)}
 
 
 def _closure(seeds, span):
     """The breadth-first closure of generated_subalgebra, deciding independence with span."""
     n = seeds[0].field.n
-    ambient = n * (2 * n + 1)
-    coord_of = {ij: t for t, ij in enumerate(all_root_indices(n))}
-    basis = []
-    new = []
-    for s in seeds:
-        if span.insert(s.vector(coord_of)):
+    coord_of = _coordinates(n)
+
+    def insert(z):
+        return not z.is_zero() and span.insert(z.vector(coord_of))
+
+    basis, _ = _sweep(seeds, bracket, insert, n * (2 * n + 1))
+    return span.dimension, tuple(basis)
+
+
+def _coordinates(n):
+    """Canonical root index -> span coordinate, in basis order."""
+    return {ij: t for t, ij in enumerate(all_root_indices(n))}
+
+
+def _sweep(seeds, product, insert, ambient):
+    """The breadth-first sweep of generated_subalgebra: (accepted elements, their words).
+
+    ``insert(z)`` adds z to the span and says whether it was independent.
+    A word is the position of a seed, or the pair (x, y) of basis positions
+    whose ``product`` the element is.  The inner loop also meets the
+    elements appended while it runs.
+    """
+    basis, words, new = [], [], []
+    for t, s in enumerate(seeds):
+        if insert(s):
+            new.append(len(basis))
             basis.append(s)
-            new.append(s)
-    while new and span.dimension < ambient:
+            words.append(t)
+    while new and len(basis) < ambient:
         fresh = []
         for x in new:
-            for y in basis:
-                z = bracket(x, y)
-                if z.is_zero():
-                    continue
-                if span.insert(z.vector(coord_of)):
+            for y, v in enumerate(basis):
+                z = product(basis[x], v)
+                if insert(z):
+                    fresh.append(len(basis))
                     basis.append(z)
-                    fresh.append(z)
-                    if span.dimension >= ambient:
+                    words.append((x, y))
+                    if len(basis) >= ambient:
                         break
-            if span.dimension >= ambient:
+            if len(basis) >= ambient:
                 break
         new = fresh
-    return span.dimension, tuple(basis)
+    return basis, words

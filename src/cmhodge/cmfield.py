@@ -411,8 +411,10 @@ class OrientedCMField:
     gives epsilon = (-1)^((p - q + 1) / 2).  The exponent is an integer
     because the weight is odd, and conjugate indices receive opposite signs.
     ``gauge_units`` holds the equivariant gauge of the Galois action
-    (``algebra._gauge_units``), and ``gauge_factors`` one monomial table per
-    group element (``algebra._root_image``); both are filled on first use.
+    (``algebra._gauge_units``), ``gauge_factors`` one monomial table per
+    group element (``algebra._root_image``), and ``_fold_signs`` the folded
+    index and sign of every X_{i,j} (``algebra._fold_signs``); each is
+    filled on first use.
     """
 
     def __init__(self, galois, orientation, _token=None):
@@ -428,6 +430,7 @@ class OrientedCMField:
             self.epsilons[k] = -1 if ((p - q + 1) // 2) % 2 else 1
         self.gauge_units = None
         self.gauge_factors = {}
+        self._fold_signs = None
 
     @property
     def weight(self):

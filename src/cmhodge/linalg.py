@@ -170,11 +170,16 @@ class ModularSpan:
 
     Same ``insert``/``dimension`` interface as ``SpanBasis``.  A coordinate
     c = sum num_i zeta^i / den goes to sum num_i omega^i * den^-1 mod p, and
-    rows are kept with a unit pivot over F_p; p < 2^30, so every residue
-    is a one-digit int.  Vectors whose images are independent mod p are
-    independent over Q(zeta_M); the converse can fail, so ``dimension`` is
-    a lower bound for the exact one.  A coordinate with p dividing its
-    denominator has no image and raises ``UnluckyPrimeError``.
+    an int coordinate is taken as an image already and goes to c mod p;
+    p < 2^30, so every residue is a one-digit int.  Reduction mod p is a
+    ring map, so images may be added and multiplied by integers before
+    they are inserted (``algebra.generated_subalgebra`` brackets them).
+    The rows are kept in reduced echelon form over F_p: each has a unit at
+    its pivot and zeros at every other row's pivot.  Vectors whose images
+    are independent mod p are independent over Q(zeta_M); the converse can
+    fail, so ``dimension`` is a lower bound for the exact one.  A
+    coordinate with p dividing its denominator has no image and raises
+    ``UnluckyPrimeError``.
     """
 
     def __init__(self, M):
@@ -188,6 +193,8 @@ class ModularSpan:
 
     def _image(self, x):
         p = self.prime
+        if type(x) is int:
+            return x % p
         if x.den % p == 0:
             raise UnluckyPrimeError(f"{p} divides the denominator {x.den}")
         y = sum(c * w for c, w in zip(x.num, self._powers))
@@ -196,25 +203,41 @@ class ModularSpan:
         return y % p
 
     def insert(self, vec):
-        """Reduce the image of vec against the span; add it if independent.  True if added."""
+        """Reduce the image of vec against the span; add it if independent.  True if added.
+
+        Subtracting row q changes no other pivot coordinate, so each pivot
+        in the image's support is cleared once, in any order.  A new row
+        is then cleared from the rows that hold its pivot, so that every
+        row keeps zeros at the other pivots; near full rank a row is short,
+        its pivot and the few coordinates that are not pivots.
+        """
         p = self.prime
         rest = {}
         for c, x in vec.items():
             y = self._image(x)
             if y:
                 rest[c] = y
-        while rest:
-            pivot = min(rest)
-            row = self.rows.get(pivot)
-            if row is None:
-                inv = pow(rest[pivot], -1, p)
-                self.rows[pivot] = {c: y * inv % p for c, y in rest.items()}
-                return True
-            factor = rest[pivot]
-            for c, y in row.items():
-                nxt = (rest.get(c, 0) - factor * y) % p
-                if nxt:
-                    rest[c] = nxt
-                else:
-                    rest.pop(c, None)
-        return False
+        rows = self.rows
+        for pivot in [c for c in rest if c in rows]:
+            _subtract(rest, rest[pivot], rows[pivot], p)
+        if not rest:
+            return False
+        pivot = min(rest)
+        inv = pow(rest[pivot], -1, p)
+        new = {c: y * inv % p for c, y in rest.items()}
+        for row in rows.values():
+            factor = row.get(pivot)
+            if factor:
+                _subtract(row, factor, new, p)
+        rows[pivot] = new
+        return True
+
+
+def _subtract(target, factor, row, p):
+    """target -= factor * row over F_p, on sparse dicts of nonzero residues."""
+    for c, y in row.items():
+        nxt = (target.get(c, 0) - factor * y) % p
+        if nxt:
+            target[c] = nxt
+        else:
+            del target[c]

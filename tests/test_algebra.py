@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cmhodge import (
+    ConductorMismatchError,
     CyclotomicNumber,
     DomainError,
     NotNilpotentError,
@@ -29,6 +30,7 @@ from cmhodge import (
     validate_orientation,
     zero_element,
 )
+from cmhodge import cyclotomic
 from cmhodge.acceptance import _first_oriented
 from cmhodge.algebra import _ratio
 from conftest import (
@@ -139,6 +141,26 @@ def test_element_json_round_trip(oriented7):
     assert element_from_json(v.to_json()) == v
     with pytest.raises(UsageError):
         element_from_json({"terms": []})
+
+
+@pytest.mark.parametrize("conductor", [8, 10**6])
+def test_a_foreign_coefficient_conductor_is_refused_before_its_arithmetic(oriented7, monkeypatch, conductor):
+    doc = root_vector(oriented7, 1, 2).to_json()
+    doc["terms"].append({"i": 1, "j": 1, "coeff": {"conductor": conductor, "coeffs": ["1/1"]}})
+    built = []
+    context = cyclotomic._context
+
+    def spy(c):
+        # refuses instead of building, so a regression fails fast rather than hangs
+        built.append(c)
+        if c == conductor:
+            raise AssertionError(f"the arithmetic of conductor {c} was built")
+        return context(c)
+
+    monkeypatch.setattr(cyclotomic, "_context", spy)
+    with pytest.raises(ConductorMismatchError):
+        element_from_json(doc)
+    assert conductor not in built
 
 
 def test_grading_eigenvalues(oriented7):

@@ -475,8 +475,10 @@ def test_partition_of_witness(capsys, witness_file):
         ("coeff-list", "usage-error"),
         ("coeff-float", "usage-error"),
         ("coeff-bool", "usage-error"),
-        # a term index is an int, not a boolean
-        ("index-bool", "usage-error"),
+        # a term index is an int, not a boolean, a list or an object
+        ("index-bool", "bad-element"),
+        ("index-list", "bad-element"),
+        ("index-object", "bad-element"),
         # a second term at the same (i, j), here a zero copy of the first, would replace it
         ("repeated-term", "bad-element"),
     ],
@@ -498,6 +500,10 @@ def test_malformed_element_is_usage_error(capsys, tmp_path, witness_file, comman
     elif defect == "index-bool":
         assert doc["terms"][0]["i"] == 1  # so True would read as the same index
         doc["terms"][0]["i"] = True
+    elif defect == "index-list":
+        doc["terms"][0]["i"] = [1]
+    elif defect == "index-object":
+        doc["terms"][0]["j"] = {"a": 1}
     else:
         doc["terms"][0]["coeff"]["coeffs"][0] = literals[defect]
     path = tmp_path / "element.json"

@@ -173,7 +173,7 @@ def element_runs(draw):
         elif damage == "foreign-conductor":
             terms.append({"i": 1, "j": 1, "coeff": {"conductor": 8, "coeffs": ["1/1", "0/1", "0/1", "0/1"]}})
         elif damage == "bad-index":
-            terms.append({"i": draw(st.sampled_from((0, 9, -9, True, "1"))), "j": 1, "coeff": CyclotomicNumber.one(M).to_json()})
+            terms.append({"i": draw(st.sampled_from((0, 9, -9, True, "1", [1], {"a": 1}))), "j": 1, "coeff": CyclotomicNumber.one(M).to_json()})
         elif damage == "not-an-object":
             doc = draw(JUNK)
         elif damage == "truncated":

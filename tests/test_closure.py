@@ -17,7 +17,7 @@ from cmhodge import (
 )
 from cmhodge import algebra
 from cmhodge.acceptance import rational_nilpotent_witness
-from cmhodge.linalg import ModularSpan, SpanBasis, split_prime
+from cmhodge.linalg import ModularSpan, SpanBasis, UnluckyPrimeError, split_prime
 from conftest import abstract_z6, first_oriented
 
 # the escape benchmark's fields, then m = 13 (n = 6) past them
@@ -188,3 +188,66 @@ def test_a_false_modular_reject_still_certifies_the_dimension(oriented7, routes)
     coord_of = {ij: t for t, ij in enumerate(all_root_indices(n))}
     span = SpanBasis()
     assert all(span.insert(b.vector(coord_of)) for b in basis)
+
+
+def reduced_exact_closure(seeds):
+    """The closure with exact brackets whose images are inserted mod p, rerun exactly below ambient."""
+    field = seeds[0].field
+    n = field.n
+    try:
+        dim, basis = algebra._closure(seeds, ModularSpan(field.working_conductor))
+    except UnluckyPrimeError:
+        dim = None
+    if dim == n * (2 * n + 1):
+        return dim, basis
+    return exact_closure(seeds)
+
+
+def _random_cartan_seeds(cases):
+    """Cartan plus one element of random support and cyclotomic coefficients, at m = 7."""
+    field = first_oriented(7, 3, (1, 2, 2, 1))
+    M = field.working_conductor
+    roots = [ij for ij in all_root_indices(field.n) if ij[0] != ij[1]]
+    rng = random.Random("closure-residues-7")
+    for _ in range(cases):
+        support = rng.sample(roots, rng.randint(1, 8))
+        element = element_from_coeffs(field, {ij: _random_coefficient(rng, M, True) for ij in support})
+        yield cartan_elements(field) + [element]
+
+
+def _seed_sets(witness_case):
+    field, witness = witness_case
+    yield cartan_elements(field) + [witness]
+    if field.galois.conductor == 7:
+        yield from _random_cartan_seeds(24)
+
+
+def test_residue_bracket_is_the_image_of_the_bracket(witness_case):
+    for seeds in _seed_sets(witness_case):
+        field = seeds[0].field
+        span = ModularSpan(field.working_conductor)
+        elements = seeds + [algebra.bracket(u, v) for u in seeds for v in seeds[-2:]]
+        for u in elements:
+            for v in elements[-4:]:
+                image = algebra._residue_bracket(field, span.prime, algebra._residues(span, u), algebra._residues(span, v))
+                assert image == algebra._residues(span, algebra.bracket(u, v))
+
+
+def test_residue_closure_equals_the_closure_of_reduced_exact_brackets(witness_case, monkeypatch):
+    exact = []
+    bracket = algebra.bracket
+    monkeypatch.setattr(algebra, "bracket", lambda u, v: exact.append(1) or bracket(u, v))
+    dims = set()
+    for seeds in _seed_sets(witness_case):
+        n = seeds[0].field.n
+        ambient = n * (2 * n + 1)
+        exact.clear()
+        dim, basis = generated_subalgebra(seeds)
+        if dim == ambient:
+            # the accepted brackets, and no others, are computed exactly
+            accepted_seeds = sum(1 for b in basis if any(b is s for s in seeds))
+            assert len(exact) == ambient - accepted_seeds
+        assert (dim, basis) == reduced_exact_closure(seeds)
+        dims.add(dim)
+    if witness_case[0].galois.conductor == 7:
+        assert 21 in dims and min(dims) < 21

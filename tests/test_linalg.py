@@ -332,3 +332,22 @@ def test_modular_span_refuses_a_denominator_divisible_by_its_prime():
     with pytest.raises(UnluckyPrimeError):
         span.insert({0: x})
     assert span.dimension == 0
+
+
+@pytest.mark.parametrize("M", [4, 28])
+def test_modular_span_takes_ints_as_images_and_keeps_its_rows_reduced(M):
+    rng = random.Random(f"modular-ints-{M}")
+    from_ints, from_rationals = ModularSpan(M), ModularSpan(M)
+    p = from_ints.prime
+    outcomes = set()
+    for _ in range(30):
+        vec = {c: rng.randrange(-2, 3) * rng.choice((1, p + 1, -p)) for c in rng.sample(range(8), rng.randrange(1, 5))}
+        added = from_ints.insert(vec)
+        assert from_rationals.insert({c: CyclotomicNumber.from_rational(M, x) for c, x in vec.items()}) == added
+        outcomes.add(added)
+        for pivot, row in from_ints.rows.items():
+            assert row[pivot] == 1
+            assert all(0 < y < p for y in row.values())
+            assert not any(other in row for other in from_ints.rows if other != pivot)
+    assert from_ints.rows == from_rationals.rows
+    assert outcomes == {True, False}
